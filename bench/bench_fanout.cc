@@ -4,11 +4,8 @@
 // concurrently by one poller-driven reader. Every tier re-checks that each
 // subscriber's stream is bit-identical to the published sequence — the
 // delivered-equals-published gate; any loss, duplication, or reorder is a
-// correctness failure, exit 1. The 1k tier also runs against the legacy
-// thread-per-connection server as the baseline the event-driven fan-out is
-// measured over (the full run gates on >= 5x; --smoke scales down for CI
-// and gates on correctness only). [--out FILE] records one JSON line
-// (default BENCH_fanout.json).
+// correctness failure, exit 1. --smoke scales down for CI (one 128-subscriber
+// tier). [--out FILE] records one JSON line (default BENCH_fanout.json).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -96,15 +93,13 @@ std::vector<std::uint8_t> next_frame(net::Connection& conn, net::FrameBuffer& fr
 
 /// One tier: `subscribers` match-all subscriptions, `epochs` published
 /// epochs, timed from first publish to last delivery.
-FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs,
-                          net::ServeMode mode) {
+FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs) {
   // window_epochs = 1: the driver flips tagging parity every epoch; a longer
   // window would union consecutive epochs and publish no class changes.
   api::Service service({.stream = {.shards = 2, .window_epochs = 1}});
   auto listener = std::make_shared<net::LoopbackListener>();
   net::ServerConfig config;
   config.max_connections = subscribers + 8;
-  config.mode = mode;
   net::Server server(service, listener, config);
   server.start();
 
@@ -205,14 +200,12 @@ FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs,
 
 int run(bool smoke, const std::string& out_path) {
   bench::print_banner(
-      "Subscriber fan-out — delivered events/sec vs subscriber count, "
-      "event loop vs thread-per-connection",
+      "Subscriber fan-out — delivered events/sec vs subscriber count",
       "engineering (net subsystem)");
 
   std::vector<std::size_t> tiers =
       smoke ? std::vector<std::size_t>{128} : std::vector<std::size_t>{128, 1024, 8192};
   const stream::Epoch epochs = smoke ? 20 : 60;
-  const std::size_t baseline_subs = smoke ? 128 : 1024;
 
   // ~3 eventfds per loopback subscriber plus headroom for everything else.
   const std::size_t fd_limit = ensure_fd_budget(4 * tiers.back() + 512);
@@ -227,7 +220,7 @@ int run(bool smoke, const std::string& out_path) {
 
   std::vector<FanoutResult> results;
   for (const auto tier : tiers) {
-    const auto r = bench_fanout(tier, epochs, net::ServeMode::kEventLoop);
+    const auto r = bench_fanout(tier, epochs);
     std::printf("event loop, %6zu subscribers: %10.0f events/s over %zu epochs "
                 "(%.0f ms wall, %llu/%llu delivered)%s\n",
                 r.subscribers, r.events_per_sec, static_cast<std::size_t>(epochs),
@@ -243,33 +236,6 @@ int run(bool smoke, const std::string& out_path) {
   }
   std::cout << "delivered-equals-published: identical on every tier\n";
 
-  const auto baseline =
-      bench_fanout(baseline_subs, epochs, net::ServeMode::kThreadPerConnection);
-  std::printf("thread-per-connection baseline, %6zu subscribers: %10.0f events/s "
-              "(%.0f ms wall, %llu/%llu delivered)\n",
-              baseline.subscribers, baseline.events_per_sec, baseline.wall_ms,
-              static_cast<unsigned long long>(baseline.delivered),
-              static_cast<unsigned long long>(baseline.expected));
-  if (!baseline.exact) {
-    std::cerr << "FAIL: thread-per-connection baseline diverged\n";
-    return 1;
-  }
-  const FanoutResult* peer = nullptr;
-  for (const auto& r : results) {
-    if (r.subscribers == baseline.subscribers) peer = &r;
-  }
-  const double speedup = (peer != nullptr && baseline.events_per_sec > 0)
-                             ? peer->events_per_sec / baseline.events_per_sec
-                             : 0;
-  std::printf("event-loop speedup over thread-per-connection at %zu subscribers: %.1fx\n",
-              baseline.subscribers, speedup);
-  if (!smoke && speedup < 5.0) {
-    std::cerr << "FAIL: event-driven fan-out must be >= 5x the thread-per-connection "
-                 "baseline, got "
-              << speedup << "x\n";
-    return 1;
-  }
-
   std::string tiers_json;
   for (const auto& r : results) {
     char item[192];
@@ -279,15 +245,12 @@ int run(bool smoke, const std::string& out_path) {
                   r.wall_ms);
     tiers_json += item;
   }
-  char json[640];
+  char json[512];
   std::snprintf(json, sizeof json,
                 "{\"bench\":\"fanout\",\"smoke\":%s,\"epochs\":%zu,"
-                "\"tiers\":[%s],"
-                "\"baseline_subscribers\":%zu,\"baseline_events_per_sec\":%.0f,"
-                "\"speedup_vs_threaded\":%.2f,\"delivered_equals_published\":true}\n",
+                "\"tiers\":[%s],\"delivered_equals_published\":true}\n",
                 smoke ? "true" : "false", static_cast<std::size_t>(epochs),
-                tiers_json.c_str(), baseline.subscribers, baseline.events_per_sec,
-                speedup);
+                tiers_json.c_str());
   std::ofstream out(out_path, std::ios::trunc);
   out << json;
   out.flush();

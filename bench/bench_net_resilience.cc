@@ -136,7 +136,6 @@ ShedResult bench_shed(std::size_t requests) {
   config.max_requests_per_sec = 100;  // flood outpaces this by orders of magnitude
   config.request_burst = 1;
   config.busy_retry_after_ms = 5;
-  config.write_queue_limit = requests + 64;  // sheds are queued, not dropped
   net::Server server(service, listener, config);
   server.start();
 

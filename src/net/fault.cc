@@ -47,7 +47,10 @@ FaultPlan FaultPlan::random_cut(std::uint64_t seed, std::uint64_t min_bytes,
 }
 
 FaultyConnection::FaultyConnection(std::unique_ptr<Connection> inner, FaultPlan plan)
-    : inner_(std::move(inner)), plan_(std::move(plan)), fired_(plan_.faults.size(), false) {}
+    : inner_(std::move(inner)),
+      plan_(std::move(plan)),
+      fired_(plan_.faults.size(), false),
+      stall_until_(plan_.faults.size()) {}
 
 std::uint64_t FaultyConnection::cut_budget(Fault::Dir dir) const {
   auto budget = std::numeric_limits<std::uint64_t>::max();
@@ -57,6 +60,32 @@ std::uint64_t FaultyConnection::cut_budget(Fault::Dir dir) const {
     budget = std::min(budget, fault.at_bytes > done ? fault.at_bytes - done : 0);
   }
   return budget;
+}
+
+std::uint64_t FaultyConnection::write_chunk(std::uint64_t want) const {
+  auto chunk = std::min(want, cut_budget(Fault::Dir::kWrite));
+  const auto written = bytes_written_.load();
+  for (const auto& fault : plan_.faults) {
+    if (fault.kind != Fault::Kind::kShortWrite || written < fault.at_bytes) continue;
+    chunk = std::min<std::uint64_t>(chunk, std::max<std::size_t>(fault.chunk, 1));
+  }
+  return chunk;
+}
+
+bool FaultyConnection::stalled(Fault::Dir dir, std::uint64_t before, std::uint64_t after) {
+  const auto now = std::chrono::steady_clock::now();
+  const std::lock_guard lock(stall_mutex_);
+  for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
+    const auto& fault = plan_.faults[i];
+    if (fault.kind != Fault::Kind::kStall || fault.dir != dir || fired_[i]) continue;
+    if (stall_until_[i] == std::chrono::steady_clock::time_point{}) {
+      if (fault.at_bytes < before || fault.at_bytes >= after) continue;
+      stall_until_[i] = now + fault.delay;
+    }
+    if (now < stall_until_[i]) return true;
+    fired_[i] = true;
+  }
+  return false;
 }
 
 void FaultyConnection::maybe_stall(Fault::Dir dir, std::uint64_t before,
@@ -108,17 +137,12 @@ bool FaultyConnection::write_all(std::span<const std::uint8_t> data) {
   std::size_t offset = 0;
   while (offset < data.size()) {
     if (severed_.load()) return false;
-    const auto budget = cut_budget(Fault::Dir::kWrite);
-    if (budget == 0) {
+    if (cut_budget(Fault::Dir::kWrite) == 0) {
       sever();
       return false;
     }
-    auto chunk = std::min<std::uint64_t>(data.size() - offset, budget);
+    const auto chunk = write_chunk(data.size() - offset);
     const auto written = bytes_written_.load();
-    for (const auto& fault : plan_.faults) {
-      if (fault.kind != Fault::Kind::kShortWrite || written < fault.at_bytes) continue;
-      chunk = std::min<std::uint64_t>(chunk, std::max<std::size_t>(fault.chunk, 1));
-    }
     maybe_stall(Fault::Dir::kWrite, written, written + chunk);
     if (!inner_->write_all(data.subspan(offset, static_cast<std::size_t>(chunk)))) {
       return false;
@@ -141,6 +165,45 @@ void FaultyConnection::close() { inner_->close(); }
 
 std::string FaultyConnection::peer_name() const {
   return inner_->peer_name() + " (faulty)";
+}
+
+PollInfo FaultyConnection::poll_info() const { return inner_->poll_info(); }
+
+IoStatus FaultyConnection::try_read(std::span<std::uint8_t> out, std::size_t& n) {
+  n = 0;
+  if (severed_.load()) return IoStatus::kEof;
+  const auto budget = cut_budget(Fault::Dir::kRead);
+  if (budget == 0) {
+    sever();
+    return IoStatus::kEof;
+  }
+  const auto want = std::min<std::uint64_t>(out.size(), budget);
+  const auto before = bytes_read_.load();
+  if (stalled(Fault::Dir::kRead, before, before + want)) return IoStatus::kWouldBlock;
+  const auto status = inner_->try_read(out.subspan(0, static_cast<std::size_t>(want)), n);
+  if (status != IoStatus::kOk) return status;
+  bytes_read_.fetch_add(n);
+  // As in read_some: the bytes up to the boundary are delivered, then the
+  // link dies behind them and the next call sees kEof.
+  if (cut_budget(Fault::Dir::kRead) == 0) sever();
+  return IoStatus::kOk;
+}
+
+IoStatus FaultyConnection::try_write(std::span<const std::uint8_t> data, std::size_t& n) {
+  n = 0;
+  if (severed_.load()) return IoStatus::kEof;
+  if (cut_budget(Fault::Dir::kWrite) == 0) {
+    sever();
+    return IoStatus::kEof;
+  }
+  const auto chunk = write_chunk(data.size());
+  const auto written = bytes_written_.load();
+  if (stalled(Fault::Dir::kWrite, written, written + chunk)) return IoStatus::kWouldBlock;
+  const auto status = inner_->try_write(data.subspan(0, static_cast<std::size_t>(chunk)), n);
+  if (status != IoStatus::kOk) return status;
+  bytes_written_.fetch_add(n);
+  if (cut_budget(Fault::Dir::kWrite) == 0) sever();
+  return IoStatus::kOk;
 }
 
 std::unique_ptr<Connection> wrap_with_faults(std::unique_ptr<Connection> inner,

@@ -9,6 +9,13 @@
 // connection: "cut write at 7" lets exactly 7 bytes through (a partial write
 // of the frame in flight), then severs the link — both directions, like a
 // dropped TCP session — and every later operation reports peer-gone.
+//
+// Both Connection surfaces run the same plan. Blocking calls (clients)
+// sleep through a stall; nonblocking calls (the server's event loop) report
+// kWouldBlock until the stall's delay has passed, so a stalled server-side
+// connection holds up nobody else on its loop — like a real slow peer. The
+// wrapped fds stay ready meanwhile, so the loop re-polls that connection
+// until the stall ends.
 #ifndef BGPCU_NET_FAULT_H
 #define BGPCU_NET_FAULT_H
 
@@ -28,7 +35,7 @@ namespace bgpcu::net {
 struct Fault {
   enum class Kind : std::uint8_t {
     kCut,        ///< Sever the link once `at_bytes` have crossed in `dir`.
-    kStall,      ///< Sleep `delay` once, when the byte threshold is crossed.
+    kStall,      ///< Pause `delay` once, when the byte threshold is crossed.
     kShortWrite, ///< From `at_bytes` on, pass writes to the transport in
                  ///< chunks of at most `chunk` bytes (forces partial-write
                  ///< interleavings at the peer's frame decoder).
@@ -69,9 +76,9 @@ struct FaultPlan {
 };
 
 /// Connection wrapper executing a FaultPlan. Thread model matches
-/// Connection: one reader + one writer thread; read-side fault state is
-/// touched only by the reader, write-side only by the writer, and the
-/// severed flag is atomic.
+/// Connection: one reader and one writer (threads, or the one loop thread
+/// driving the nonblocking surface); stall state is under a mutex, and the
+/// byte counters and severed flag are atomic.
 class FaultyConnection : public Connection {
  public:
   FaultyConnection(std::unique_ptr<Connection> inner, FaultPlan plan);
@@ -82,6 +89,11 @@ class FaultyConnection : public Connection {
   void shutdown_write() override;
   void close() override;
   [[nodiscard]] std::string peer_name() const override;
+  /// The inner connection's readiness fds: faults change what a transfer
+  /// moves, never when the transport is ready.
+  [[nodiscard]] PollInfo poll_info() const override;
+  IoStatus try_read(std::span<std::uint8_t> out, std::size_t& n) override;
+  IoStatus try_write(std::span<const std::uint8_t> data, std::size_t& n) override;
 
   /// True once a kCut fault fired (diagnostics for tests/benches).
   [[nodiscard]] bool severed() const noexcept { return severed_.load(); }
@@ -91,7 +103,14 @@ class FaultyConnection : public Connection {
  private:
   /// Bytes until the next kCut in `dir`; ~0 when none remains.
   [[nodiscard]] std::uint64_t cut_budget(Fault::Dir dir) const;
+  /// How many of `want` bytes the next write may pass: the cut budget,
+  /// capped further by any active kShortWrite.
+  [[nodiscard]] std::uint64_t write_chunk(std::uint64_t want) const;
+  /// Blocking stall: sleeps through each unfired stall in [before, after).
   void maybe_stall(Fault::Dir dir, std::uint64_t before, std::uint64_t after);
+  /// Nonblocking stall: true while a stall in [before, after) is running.
+  /// The first crossing starts its clock; it fires once the clock runs out.
+  [[nodiscard]] bool stalled(Fault::Dir dir, std::uint64_t before, std::uint64_t after);
   void sever();
 
   std::unique_ptr<Connection> inner_;
@@ -99,8 +118,10 @@ class FaultyConnection : public Connection {
   std::atomic<bool> severed_{false};
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
-  std::mutex stall_mutex_;  ///< Guards fired flags (reader vs writer stalls).
+  std::mutex stall_mutex_;  ///< Guards the stall state (reader vs writer).
   std::vector<bool> fired_;
+  /// When a started nonblocking stall ends; the epoch means not started.
+  std::vector<std::chrono::steady_clock::time_point> stall_until_;
 };
 
 /// Wraps `inner` with `plan`; an empty plan still counts bytes but injects

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -19,7 +20,7 @@ namespace bgpcu::net {
 
 namespace {
 
-/// How many over-limit connections may hold a graceful-rejection handler
+/// How many over-limit connections may be held for a graceful rejection
 /// (bounded by hello_timeout_ms) at once; everything past this is closed
 /// abruptly so a connection flood cannot scale per-connection state.
 constexpr std::size_t kGracefulRejectSlots = 8;
@@ -42,38 +43,85 @@ struct OutFrame {
   [[nodiscard]] std::size_t size() const noexcept {
     return head.size() + (tail ? tail->size() : 0);
   }
+
+  /// What the frame is charged against write_queue_bytes_limit while
+  /// queued: its wire bytes plus its queue slot and the allocator's share
+  /// of its head buffer. The fixed part bounds a flood of tiny frames
+  /// (busy sheds, pongs, one-AS answers) by the memory it pins.
+  [[nodiscard]] std::size_t queued_bytes() const noexcept {
+    return size() + sizeof(OutFrame) + 32;
+  }
 };
+
+/// Inbound frames read but not yet dispatched, in bytes, past which a
+/// connection stops reading until its worker catches up. A peer that sends
+/// faster than its requests are served then backs up in its own transport
+/// instead of in server memory.
+constexpr std::size_t kInboxPauseBytes = std::size_t{1} << 20;
 
 }  // namespace
 
-// ------------------------------------------------------------ ConnHandler --
+// -------------------------------------------------------------- EventConn --
 
-/// Shared protocol machinery for one live connection: handshake, dispatch,
-/// subscriptions, admission control. Subclasses supply the IO model — how
-/// frames are queued out (enqueue) and what clearing the hello deadline
-/// means (on_handshake_complete). Held by shared_ptr from the server and,
-/// weakly, from subscription callbacks living inside the Service.
-class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHandler> {
+/// One live connection: the protocol (handshake, dispatch, subscriptions,
+/// admission control) over poller-driven IO. All socket IO happens on the
+/// owning IoLoop's thread; decoded frames are dispatched, in order, by at
+/// most one worker at a time (the inbox + worker_scheduled_ flag serialize
+/// it). Members are grouped by owner; cross-thread handoffs go through the
+/// mutexes and the atomics. The loop-driven members are public because the
+/// sibling IoLoop (not a friend under nested-class rules) drives this
+/// object — both classes are local to this translation unit. Held by
+/// shared_ptr from its loop and, weakly, from subscription callbacks living
+/// inside the Service.
+class Server::EventConn : public std::enable_shared_from_this<Server::EventConn> {
  public:
   /// `reject` marks an over-limit connection: its first frame is answered
   /// with kServerBusy (or structured kBusy) and the connection torn down.
-  /// Rejecting through the normal handler (rather than write-and-close in
+  /// Rejecting through a normal connection (rather than write-and-close in
   /// the accept loop) matters on real TCP: closing with the client's unread
   /// hello still buffered raises RST, which can discard the queued error.
-  ConnHandler(Server& server, std::unique_ptr<Connection> conn, bool reject)
+  EventConn(Server& server, std::unique_ptr<Connection> conn, bool reject, PollInfo pi,
+            std::uint64_t token_base, IoLoop* loop)
       : server_(server),
         conn_(std::move(conn)),
         reject_(reject),
-        rate_tokens_(static_cast<double>(server.config_.request_burst)) {}
+        rate_tokens_(static_cast<double>(server.config_.request_burst)),
+        pi_(pi),
+        token_base_(token_base),
+        loop_(loop),
+        frames_(server.config_.max_request_payload),
+        read_chunk_(16384) {}
 
-  virtual ~ConnHandler() = default;
+  /// Hard teardown from outside (server stop, queue overflow, dead peer):
+  /// drop pending output and close the transport. Never blocks.
+  void abort_connection();
+  [[nodiscard]] bool done() const noexcept { return completed_.load() || aborted_.load(); }
 
-  virtual void start() = 0;
-  /// Hard teardown from outside (server stop or queue overflow): drop
-  /// pending output and unblock everything. Does not join.
-  virtual void abort_connection() = 0;
-  [[nodiscard]] virtual bool done() const noexcept = 0;
-  virtual void join() {}
+  [[nodiscard]] std::shared_ptr<EventConn> self() { return shared_from_this(); }
+
+  void clear_flush_pending() { flush_pending_.store(false); }
+
+  /// Loop-thread, once: stamps the hello-deadline and keepalive baselines.
+  void mark_adopted(std::uint64_t now) {
+    adopt_ms_ = now;
+    last_rx_ms_.store(now);
+  }
+
+  // --- IO-loop-thread entry points -----------------------------------
+  void handle_readable(IoLoop& loop);
+  void flush(IoLoop& loop);
+  void update_interest(IoLoop& loop);
+  /// Next steady-ms instant a deadline fires (0 = none): the hello
+  /// deadline before the handshake, the keepalive cadence after.
+  [[nodiscard]] std::uint64_t next_deadline() const;
+  void on_deadline(IoLoop& loop, std::uint64_t now);
+
+  // --- worker entry point --------------------------------------------
+  /// Drains queued inbound frames through handle_frame. At most one worker
+  /// runs this per connection at a time; it re-runs until the inbox is
+  /// empty, then finalizes teardown exactly once when the connection is
+  /// over (EOF, fatal protocol error, or abort).
+  void drain_inbox();
 
   /// Unsubscribes everything this connection registered with the service.
   /// Idempotent; must run before the connection's output drains out so the
@@ -91,13 +139,11 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
     }
   }
 
- protected:
+ private:
   /// Queues one outbound frame. Never blocks: an overflowing queue means a
   /// slow consumer, which is aborted rather than waited for. Safe from any
   /// thread, including Service publish callbacks.
-  virtual void enqueue(OutFrame frame) = 0;
-  /// The handshake landed: lift the first-frame deadline.
-  virtual void on_handshake_complete() = 0;
+  void enqueue(OutFrame frame);
 
   void enqueue_frame(std::vector<std::uint8_t> frame) {
     enqueue({std::move(frame), nullptr});
@@ -174,8 +220,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
 
   /// Dispatches one complete inbound frame. Returns false on a fatal
   /// protocol violation (an error frame has been queued; stop reading).
-  /// Serialized per connection: reader thread (threaded path) or inbox
-  /// drain (event path) — never concurrent with itself.
+  /// Serialized per connection by the inbox drain.
   bool handle_frame(const std::vector<std::uint8_t>& frame) {
     const auto type = api::peek_frame_type(frame);
     if (reject_) {
@@ -192,14 +237,13 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
       send_error(0, api::ErrorCode::kServerBusy, "connection limit reached");
       return false;
     }
-    if (!hello_done_) {
+    if (!hello_passed_.load()) {
       if (type == api::FrameType::kHello2) {
         const auto hello = api::decode_hello2(frame);
         if (!check_handshake(hello.protocol, hello.token)) return false;
         features_ = hello.features & api::kAllFeatures;
-        hello_done_ = true;
         if (features_ & api::kFeatureKeepalive) keepalive_negotiated_.store(true);
-        on_handshake_complete();
+        hello_passed_.store(true);  // lifts the first-frame deadline
         api::Welcome2Frame welcome;
         welcome.protocol = api::kProtocolVersion;
         welcome.epoch = server_.service_.epoch();
@@ -214,8 +258,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
       }
       const auto hello = api::decode_hello(frame);
       if (!check_handshake(hello.protocol, hello.token)) return false;
-      hello_done_ = true;
-      on_handshake_complete();
+      hello_passed_.store(true);
       enqueue_frame(api::encode_welcome({api::kProtocolVersion, server_.service_.epoch()}));
       return true;
     }
@@ -283,7 +326,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
         // the ack, a publish on any thread is guaranteed to reach it.
         // Replayed events are therefore enqueued ahead of the ack — clients
         // buffer events at any time, so that ordering is fine.
-        std::weak_ptr<ConnHandler> weak = weak_from_this();
+        std::weak_ptr<EventConn> weak = weak_from_this();
         // Resume-negotiated peers learn atomically with the replay whether
         // the event log still covered their replay_from epoch; a false flag
         // tells the client to re-sync from a snapshot instead of trusting
@@ -363,9 +406,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
   std::unique_ptr<Connection> conn_;
   const bool reject_;
 
-  // Dispatch-serialized state (reader thread / inbox drain — never
-  // concurrent with itself).
-  bool hello_done_ = false;
+  // Dispatch-serialized state (inbox drain — never concurrent with itself).
   std::uint64_t features_ = 0;  ///< Granted kFeature* bits (0 = legacy peer).
   std::uint64_t next_subscription_id_ = 1;
   double rate_tokens_ = 0;
@@ -379,293 +420,6 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
   // Crosses dispatch -> keepalive prober.
   std::atomic<bool> keepalive_negotiated_{false};
   std::atomic<std::uint64_t> last_rx_ms_{0};
-};
-
-// ---------------------------------------------------- ThreadedConnHandler --
-
-/// Legacy model: one reader thread (frames in, dispatch) + one writer
-/// thread (bounded queue out) per connection. Used for every connection
-/// under ServeMode::kThreadPerConnection and for transports that cannot be
-/// polled (fault-injection wrappers report a non-pollable PollInfo).
-class Server::ThreadedConnHandler : public Server::ConnHandler {
- public:
-  ThreadedConnHandler(Server& server, std::unique_ptr<Connection> conn, bool reject)
-      : ConnHandler(server, std::move(conn), reject) {}
-
-  void start() override {
-    auto self = std::static_pointer_cast<ThreadedConnHandler>(shared_from_this());
-    reader_ = std::thread([self] { self->reader_loop(); });
-    writer_ = std::thread([self] { self->writer_loop(); });
-  }
-
-  void abort_connection() override {
-    {
-      const std::lock_guard lock(queue_mutex_);
-      queue_closed_ = true;
-      queue_.clear();
-      queue_bytes_ = 0;
-    }
-    queue_cv_.notify_all();
-    conn_->close();
-  }
-
-  void join() override {
-    if (reader_.joinable()) reader_.join();
-    if (writer_.joinable()) writer_.join();
-  }
-
-  [[nodiscard]] bool done() const noexcept override {
-    return reader_done_.load() && writer_done_.load();
-  }
-
- protected:
-  void enqueue(OutFrame frame) override {
-    bool overflow = false;
-    {
-      const std::lock_guard lock(queue_mutex_);
-      if (queue_closed_) return;
-      // Both bounds hold: the deprecated frame count and the byte cap.
-      // Bytes are checked against what is *already* queued, so one frame
-      // larger than the limit still goes out on an under-limit queue.
-      if (queue_.size() >= server_.config_.write_queue_limit ||
-          queue_bytes_ >= server_.config_.write_queue_bytes_limit) {
-        overflow = true;
-        queue_closed_ = true;
-        queue_.clear();
-        queue_bytes_ = 0;
-      } else {
-        queue_bytes_ += frame.size();
-        queue_.push_back(std::move(frame));
-        obs::metrics().net_write_queue_hwm.max_of(
-            static_cast<std::int64_t>(queue_.size()));
-      }
-    }
-    queue_cv_.notify_one();
-    if (overflow) {
-      server_.stats_.slow_disconnects.fetch_add(1);
-      obs::metrics().net_slow_disconnects.add(1);
-      abort_connection();
-    }
-  }
-
-  void on_handshake_complete() override {
-    conn_->set_read_timeout(std::chrono::milliseconds::zero());
-  }
-
- private:
-  /// Signals the writer that no further frames are coming; it drains what is
-  /// queued, then half-closes toward the client.
-  void close_queue() {
-    {
-      const std::lock_guard lock(queue_mutex_);
-      queue_closed_ = true;
-    }
-    queue_cv_.notify_all();
-  }
-
-  void reader_loop() {
-    FrameBuffer frames(server_.config_.max_request_payload);
-    std::vector<std::uint8_t> chunk(16384);
-    // The first frame runs against a deadline (cleared once the handshake
-    // lands): a connect that never speaks cannot hold this slot forever.
-    if (server_.config_.hello_timeout_ms > 0) {
-      conn_->set_read_timeout(std::chrono::milliseconds(server_.config_.hello_timeout_ms));
-    }
-    bool fatal = false;
-    while (!fatal) {
-      std::size_t n = 0;
-      try {
-        n = conn_->read_some(chunk);
-      } catch (const TransportError&) {
-        break;
-      }
-      if (n == 0) break;  // EOF / peer half-closed: flush and finish
-      last_rx_ms_.store(steady_now_ms());
-      obs::metrics().net_bytes_in.add(n);
-      try {
-        frames.append(std::span(chunk.data(), n));
-        for (auto frame = frames.extract(); !frame.empty(); frame = frames.extract()) {
-          server_.stats_.frames_received.fetch_add(1);
-          obs::metrics().net_frames_received.add(1);
-          if (!handle_frame(frame)) {
-            fatal = true;
-            break;
-          }
-        }
-      } catch (const api::WireFormatError& e) {
-        send_error(0, api::ErrorCode::kBadRequest, e.what());
-        fatal = true;
-      }
-    }
-    // Teardown: the service must stop delivering into this connection
-    // before the writer drains out.
-    release_subscriptions();
-    close_queue();
-    reader_done_.store(true);
-  }
-
-  /// How long the writer may sit idle before the next keepalive action:
-  /// the dead-peer deadline while a probe is outstanding, else the probe
-  /// cadence. Writer-thread only.
-  [[nodiscard]] std::chrono::milliseconds idle_wait() const {
-    return std::chrono::milliseconds(ping_outstanding_
-                                         ? server_.config_.keepalive_timeout_ms
-                                         : server_.config_.keepalive_interval_ms);
-  }
-
-  /// Runs on the writer thread after an idle keepalive interval. Returns
-  /// false once the peer is declared dead (connection aborted).
-  bool keepalive_tick() {
-    const auto now = steady_now_ms();
-    const auto last_rx = last_rx_ms_.load();
-    if (ping_outstanding_) {
-      if (last_rx >= ping_sent_ms_) {
-        // Anything inbound since the probe proves the peer is alive.
-        ping_outstanding_ = false;
-        return true;
-      }
-      if (now - ping_sent_ms_ >= server_.config_.keepalive_timeout_ms) {
-        server_.stats_.keepalive_disconnects.fetch_add(1);
-        obs::metrics().net_keepalive_disconnects.add(1);
-        abort_connection();
-        return false;
-      }
-      return true;
-    }
-    if (now - last_rx < server_.config_.keepalive_interval_ms) return true;
-    // We *are* the writer and the queue is idle, so the probe is written
-    // directly — it cannot deadlock with the queue, and a closed queue
-    // cannot swallow it.
-    ping_outstanding_ = true;
-    ping_sent_ms_ = now;
-    server_.stats_.keepalive_probes.fetch_add(1);
-    obs::metrics().net_keepalive_probes.add(1);
-    const auto probe = api::encode_ping({++ping_nonce_});
-    if (!conn_->write_all(probe)) {
-      abort_connection();
-      return false;
-    }
-    server_.stats_.frames_sent.fetch_add(1);
-    auto& m = obs::metrics();
-    m.net_frames_sent.add(1);
-    m.net_bytes_out.add(probe.size());
-    return true;
-  }
-
-  void writer_loop() {
-    for (;;) {
-      OutFrame frame;
-      bool idle = false;
-      {
-        std::unique_lock lock(queue_mutex_);
-        const auto ready = [&] { return !queue_.empty() || queue_closed_; };
-        if (keepalive_enabled()) {
-          idle = !queue_cv_.wait_for(lock, idle_wait(), ready);
-        } else {
-          queue_cv_.wait(lock, ready);
-        }
-        if (!idle) {
-          if (queue_.empty()) break;  // closed and drained
-          frame = std::move(queue_.front());
-          queue_.pop_front();
-          queue_bytes_ -= frame.size();
-        }
-      }
-      if (idle) {
-        if (!keepalive_tick()) break;
-        continue;
-      }
-      if (!conn_->write_all(frame.head) ||
-          (frame.tail && !conn_->write_all(*frame.tail))) {
-        // Peer is gone: drop the rest and wake the reader out of its read.
-        abort_connection();
-        break;
-      }
-      server_.stats_.frames_sent.fetch_add(1);
-      auto& m = obs::metrics();
-      m.net_frames_sent.add(1);
-      m.net_bytes_out.add(frame.size());
-    }
-    // Everything queued before close_queue() has been flushed (or the peer
-    // vanished): end our write side so the client sees EOF after the tail.
-    conn_->shutdown_write();
-    writer_done_.store(true);
-  }
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<OutFrame> queue_;
-  std::size_t queue_bytes_ = 0;
-  bool queue_closed_ = false;
-
-  std::thread reader_;
-  std::thread writer_;
-  std::atomic<bool> reader_done_{false};
-  std::atomic<bool> writer_done_{false};
-
-  // Writer-thread state.
-  bool ping_outstanding_ = false;
-  std::uint64_t ping_sent_ms_ = 0;
-  std::uint64_t ping_nonce_ = 0;
-};
-
-// -------------------------------------------------------------- EventConn --
-
-/// Poller-driven connection state. All socket IO happens on the owning
-/// IoLoop's thread; decoded frames are dispatched, in order, by at most one
-/// worker at a time (the inbox + worker_scheduled_ flag serialize it).
-/// Members are grouped by owner; cross-thread handoffs go through the two
-/// mutexes and the atomics. Fields are public because the sibling IoLoop
-/// (not a friend under nested-class rules) drives this object — both
-/// classes are local to this translation unit.
-class Server::EventConn : public Server::ConnHandler {
- public:
-  EventConn(Server& server, std::unique_ptr<Connection> conn, bool reject,
-            PollInfo pi, std::uint64_t token_base, IoLoop* loop)
-      : ConnHandler(server, std::move(conn), reject),
-        pi_(pi),
-        token_base_(token_base),
-        loop_(loop),
-        frames_(server.config_.max_request_payload),
-        read_chunk_(16384) {}
-
-  void start() override {}  // adoption into the loop is the start
-  void abort_connection() override;
-  [[nodiscard]] bool done() const noexcept override {
-    return completed_.load() || aborted_.load();
-  }
-
-  [[nodiscard]] std::shared_ptr<EventConn> self() {
-    return std::static_pointer_cast<EventConn>(shared_from_this());
-  }
-
-  void clear_flush_pending() { flush_pending_.store(false); }
-
-  /// Loop-thread, once: stamps the hello-deadline and keepalive baselines.
-  void mark_adopted(std::uint64_t now) {
-    adopt_ms_ = now;
-    last_rx_ms_.store(now);
-  }
-
-  // --- IO-loop-thread entry points -----------------------------------
-  void handle_readable(IoLoop& loop);
-  void flush(IoLoop& loop);
-  void update_interest(IoLoop& loop);
-  /// Next steady-ms instant a deadline fires (0 = none): the hello
-  /// deadline before the handshake, the keepalive cadence after.
-  [[nodiscard]] std::uint64_t next_deadline() const;
-  void on_deadline(IoLoop& loop, std::uint64_t now);
-
-  // --- worker entry point --------------------------------------------
-  /// Drains queued inbound frames through handle_frame. At most one worker
-  /// runs this per connection at a time; it re-runs until the inbox is
-  /// empty, then finalizes teardown exactly once when the connection is
-  /// over (EOF, fatal protocol error, or abort).
-  void drain_inbox();
-
- protected:
-  void enqueue(OutFrame frame) override;
-  void on_handshake_complete() override { hello_passed_.store(true); }
 
  public:
   /// One inbox entry: a complete frame, or the framing error that ended
@@ -702,6 +456,7 @@ class Server::EventConn : public Server::ConnHandler {
   // Inbound handoff: loop thread fills, one worker drains.
   std::mutex in_mutex_;
   std::deque<InItem> inbox_;
+  std::size_t inbox_bytes_ = 0;
   bool worker_scheduled_ = false;
   bool eof_ = false;
   bool finalized_ = false;
@@ -717,6 +472,8 @@ class Server::EventConn : public Server::ConnHandler {
 
   std::atomic<bool> hello_passed_{false};
   std::atomic<bool> stop_reading_{false};
+  /// The inbox is full (kInboxPauseBytes): reads wait for the worker.
+  std::atomic<bool> read_paused_{false};
   std::atomic<bool> flush_pending_{false};
   std::atomic<bool> aborted_{false};
   std::atomic<bool> completed_{false};
@@ -1010,17 +767,15 @@ void Server::EventConn::enqueue(OutFrame frame) {
   {
     const std::lock_guard lock(out_mutex_);
     if (out_closed_) return;
-    // Both bounds hold: the deprecated frame count and the byte cap. Bytes
-    // are checked against what is *already* queued, so one frame larger
-    // than the limit still goes out on an under-limit queue.
-    if (outq_.size() >= server_.config_.write_queue_limit ||
-        out_bytes_ >= server_.config_.write_queue_bytes_limit) {
+    // Checked against what is *already* queued, so one frame larger than
+    // the limit still goes out on an under-limit queue.
+    if (out_bytes_ >= server_.config_.write_queue_bytes_limit) {
       overflow = true;
       out_closed_ = true;
       outq_.clear();
       out_bytes_ = 0;
     } else {
-      out_bytes_ += frame.size();
+      out_bytes_ += frame.queued_bytes();
       outq_.push_back(std::move(frame));
       obs::metrics().net_write_queue_hwm.max_of(
           static_cast<std::int64_t>(outq_.size()));
@@ -1055,7 +810,7 @@ void Server::EventConn::abort_connection() {
 }
 
 void Server::EventConn::handle_readable(IoLoop& loop) {
-  if (read_done_ || stop_reading_.load()) {
+  if (read_done_ || stop_reading_.load() || read_paused_.load()) {
     update_interest(loop);
     return;
   }
@@ -1095,7 +850,11 @@ void Server::EventConn::handle_readable(IoLoop& loop) {
   bool schedule = false;
   {
     const std::lock_guard lock(in_mutex_);
-    for (auto& item : items) inbox_.push_back(std::move(item));
+    for (auto& item : items) {
+      inbox_bytes_ += sizeof(InItem) + item.frame.size();
+      inbox_.push_back(std::move(item));
+    }
+    if (inbox_bytes_ >= kInboxPauseBytes) read_paused_.store(true);
     if (eof) eof_ = true;
     if (!worker_scheduled_ && !finalized_ && (!inbox_.empty() || eof_)) {
       worker_scheduled_ = true;
@@ -1109,6 +868,7 @@ void Server::EventConn::handle_readable(IoLoop& loop) {
 void Server::EventConn::drain_inbox() {
   for (;;) {
     std::deque<InItem> batch;
+    bool resume_reading = false;
     {
       const std::lock_guard lock(in_mutex_);
       if (finalized_) {
@@ -1117,7 +877,11 @@ void Server::EventConn::drain_inbox() {
         return;
       }
       batch.swap(inbox_);
+      inbox_bytes_ = 0;
+      resume_reading = read_paused_.exchange(false);
     }
+    // The loop re-registers read interest when it handles the flush mail.
+    if (resume_reading) loop_->request_flush(self());
     for (auto& item : batch) {
       if (aborted_.load() || fatal_) break;
       if (item.framing_error) {
@@ -1178,7 +942,7 @@ void Server::EventConn::flush(IoLoop& loop) {
       }
       inflight_ = std::move(outq_.front());
       outq_.pop_front();
-      out_bytes_ -= inflight_->size();
+      out_bytes_ -= inflight_->queued_bytes();
       inflight_off_ = 0;
       if (inflight_->tail && inflight_->size() <= 2048) {
         // Small event frames (the fan-out steady state) flush as one
@@ -1233,7 +997,7 @@ void Server::EventConn::flush(IoLoop& loop) {
 
 void Server::EventConn::update_interest(IoLoop& loop) {
   if (done()) return;  // retirement deregisters
-  const bool want_read = !read_done_ && !stop_reading_.load();
+  const bool want_read = !read_done_ && !stop_reading_.load() && !read_paused_.load();
   if (reg_valid_ && want_read == reg_read_ && want_write_ == reg_write_) return;
   reg_valid_ = true;
   reg_read_ = want_read;
@@ -1273,8 +1037,7 @@ std::uint64_t Server::EventConn::next_deadline() const {
 void Server::EventConn::on_deadline(IoLoop& loop, std::uint64_t now) {
   if (!hello_passed_.load() && server_.config_.hello_timeout_ms > 0 && !read_done_ &&
       now >= adopt_ms_ + server_.config_.hello_timeout_ms) {
-    // Hello deadline: same observable outcome as the threaded read
-    // timeout — stop reading, flush anything queued, half-close.
+    // Hello deadline: stop reading, flush anything queued, half-close.
     read_done_ = true;
     bool schedule = false;
     {
@@ -1311,8 +1074,8 @@ void Server::EventConn::keepalive_check(std::uint64_t now) {
   ping_sent_ms_ = now;
   server_.stats_.keepalive_probes.fetch_add(1);
   obs::metrics().net_keepalive_probes.add(1);
-  // Unlike the threaded writer, the probe goes through the queue: the loop
-  // owns the socket and a flush is already the only writer.
+  // The probe goes through the queue: the loop owns the socket and a flush
+  // is its only writer.
   enqueue({api::encode_ping({++ping_nonce_}), nullptr});
 }
 
@@ -1321,29 +1084,17 @@ void Server::EventConn::keepalive_check(std::uint64_t now) {
 Server::Server(api::Service& service, std::shared_ptr<Listener> listener,
                ServerConfig config)
     : service_(service), listener_(std::move(listener)), config_(std::move(config)) {
-  if (config_.mode == ServeMode::kEventLoop) {
-    const auto loops = std::max<std::size_t>(1, config_.io_threads);
-    loops_.reserve(loops);
-    for (std::size_t i = 0; i < loops; ++i) {
-      loops_.push_back(std::make_unique<IoLoop>(*this, config_.poller_backend));
-    }
-    if (config_.worker_threads > 0) {
-      workers_ = std::make_unique<WorkerPool>(config_.worker_threads);
-    }
+  const auto loops = std::max<std::size_t>(1, config_.io_threads);
+  loops_.reserve(loops);
+  for (std::size_t i = 0; i < loops; ++i) {
+    loops_.push_back(std::make_unique<IoLoop>(*this, config_.poller_backend));
+  }
+  if (config_.worker_threads > 0) {
+    workers_ = std::make_unique<WorkerPool>(config_.worker_threads);
   }
   conns_collector_ = obs::Registry::global().add_collector(
-      "bgpcu_net_open_connections", "Connections not yet torn down", {}, [this] {
-        // No reap here: a scrape must never join connection threads.
-        std::size_t live = 0;
-        {
-          const std::lock_guard lock(conns_mutex_);
-          for (const auto& handler : conns_) {
-            if (!handler->done()) ++live;
-          }
-        }
-        for (const auto& loop : loops_) live += loop->live();
-        return static_cast<double>(live);
-      });
+      "bgpcu_net_open_connections", "Connections not yet torn down", {},
+      [this] { return static_cast<double>(connection_count()); });
 }
 
 Server::~Server() { stop(); }
@@ -1369,14 +1120,15 @@ void Server::accept_loop() {
       continue;
     }
     if (!conn) break;
-    reap_finished();
     if (stopping_.load()) break;
-    std::size_t live = 0;
-    {
-      const std::lock_guard lock(conns_mutex_);
-      live = conns_.size();
+    const auto pi = conn->poll_info();
+    if (!pi.pollable()) {
+      // No readiness fds (a loopback pipe whose eventfd creation failed):
+      // no loop can serve it, so refuse it rather than let it stall.
+      conn->close();
+      continue;
     }
-    for (const auto& loop : loops_) live += loop->live();
+    const auto live = connection_count();
     const bool reject = live >= config_.max_connections;
     if (reject) {
       stats_.connections_rejected.fetch_add(1);
@@ -1385,7 +1137,7 @@ void Server::accept_loop() {
       // connection state for up to hello_timeout_ms. Under a connection
       // flood that would grow without bound, so past a small overflow
       // margin the rejection turns abrupt: best-effort error write,
-      // immediate close, no handler.
+      // immediate close, no connection state.
       if (live >= config_.max_connections + kGracefulRejectSlots) {
         (void)conn->write_all(api::encode_error(
             {0, api::ErrorCode::kServerBusy, "connection limit reached"}));
@@ -1397,26 +1149,13 @@ void Server::accept_loop() {
       stats_.connections_accepted.fetch_add(1);
       obs::metrics().net_connections_accepted.add(1);
     }
-    // Rejected connections (within the margin) run through a normal handler
-    // too — it answers the first frame with kServerBusy and tears down — so
-    // the error is flushed and joined like any other connection.
-    PollInfo pi;
-    const bool use_event = config_.mode == ServeMode::kEventLoop && !loops_.empty() &&
-                           (pi = conn->poll_info()).pollable();
-    if (use_event) {
-      auto& loop = *loops_[next_loop_++ % loops_.size()];
-      const auto token_base = next_conn_id_.fetch_add(1) << 1;
-      loop.adopt(std::make_shared<EventConn>(*this, std::move(conn), reject, pi,
-                                             token_base, &loop));
-    } else {
-      // Non-pollable transport (or legacy mode): two threads, same protocol.
-      auto handler = std::make_shared<ThreadedConnHandler>(*this, std::move(conn), reject);
-      {
-        const std::lock_guard lock(conns_mutex_);
-        conns_.push_back(handler);
-      }
-      handler->start();
-    }
+    // Rejected connections (within the margin) are served like any other —
+    // the first frame is answered with kServerBusy and the connection torn
+    // down — so the error is flushed before the close.
+    auto& loop = *loops_[next_loop_++ % loops_.size()];
+    const auto token_base = next_conn_id_.fetch_add(1) << 1;
+    loop.adopt(
+        std::make_shared<EventConn>(*this, std::move(conn), reject, pi, token_base, &loop));
   }
 }
 
@@ -1430,32 +1169,10 @@ void Server::submit_worker(std::shared_ptr<EventConn> conn) {
   }
 }
 
-void Server::reap_finished() {
-  std::vector<std::shared_ptr<ConnHandler>> finished;
-  {
-    const std::lock_guard lock(conns_mutex_);
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if ((*it)->done()) {
-        finished.push_back(std::move(*it));
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& handler : finished) handler->join();
-}
-
 void Server::stop() {
   if (!started_.load() || stopping_.exchange(true)) return;
   listener_->close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::shared_ptr<ConnHandler>> conns;
-  {
-    const std::lock_guard lock(conns_mutex_);
-    conns.swap(conns_);
-  }
-  for (const auto& handler : conns) handler->abort_connection();
   for (auto& loop : loops_) loop->stop();
   for (auto& loop : loops_) loop->join();
   // Workers drain before the leftover sweep: any queued finalize (which
@@ -1468,7 +1185,6 @@ void Server::stop() {
       conn->release_subscriptions();
     }
   }
-  for (const auto& handler : conns) handler->join();
 }
 
 ServerStats Server::stats() const {
@@ -1488,19 +1204,8 @@ ServerStats Server::stats() const {
   return out;
 }
 
-std::size_t Server::connection_count() {
-  // Doubles as a reap point: the accept loop only reaps when a new
-  // connection arrives, so without this a quiet listener would keep
-  // finished threaded handlers (and their exited-but-unjoined threads)
-  // around indefinitely. The daemon polls this every epoch.
-  reap_finished();
+std::size_t Server::connection_count() const {
   std::size_t live = 0;
-  {
-    const std::lock_guard lock(conns_mutex_);
-    for (const auto& handler : conns_) {
-      if (!handler->done()) ++live;
-    }
-  }
   for (const auto& loop : loops_) live += loop->live();
   return live;
 }

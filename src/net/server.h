@@ -4,31 +4,25 @@
 // service subscriptions whose events stream back as kEvent frames.
 //
 // Concurrency model — the point of this class: connections are served by an
-// event-driven readiness loop (ServeMode::kEventLoop, the default). A small
-// set of IO threads each run a Poller over nonblocking connections, doing
-// all reads and writes; decoded frames are dispatched per-connection (in
-// order) on a fixed worker pool so a slow service query never stalls the IO
-// loop. Published events are serialized once per epoch (per distinct
-// filter) into a shared refcounted buffer that every matching subscriber's
-// write queue references — fan-out costs one encode, not one per peer.
-// Write queues are bounded in BYTES (write_queue_bytes_limit) and frames;
-// a subscriber that overflows either bound is disconnected (counted in
-// ServerStats::slow_disconnects) instead of waited for, so one stalled
-// peer can never hold up publish(), ingest, or any other connection.
-//
-// Connections whose transport cannot be polled (Connection::poll_info
-// reports non-pollable — e.g. fault-injection wrappers), and every
-// connection under ServeMode::kThreadPerConnection, fall back to the
-// legacy model: one reader thread + one writer thread per connection,
-// draining the same bounded queue. Both paths share one protocol handler,
-// so behavior is identical frame-for-frame.
+// event-driven readiness loop. An accept thread hands each connection to one
+// of a small set of IO threads, each running a Poller over nonblocking
+// connections and doing all of their reads and writes; decoded frames are
+// dispatched per-connection (in order) on a fixed worker pool so a slow
+// service query never stalls the IO loop. Published events are serialized
+// once per epoch (per distinct filter) into a shared refcounted buffer that
+// every matching subscriber's write queue references — fan-out costs one
+// encode, not one per peer. Write queues are bounded in bytes
+// (write_queue_bytes_limit); a subscriber that overflows the bound is
+// disconnected (counted in ServerStats::slow_disconnects) instead of waited
+// for, so one stalled peer can never hold up publish(), ingest, or any
+// other connection. A connection whose transport cannot be polled
+// (Connection::poll_info reports non-pollable) is closed at accept.
 #ifndef BGPCU_NET_SERVER_H
 #define BGPCU_NET_SERVER_H
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -39,12 +33,6 @@
 
 namespace bgpcu::net {
 
-/// How the server runs connections. kEventLoop is the production default;
-/// kThreadPerConnection keeps the legacy two-threads-per-connection model
-/// (used as the fan-out benchmark baseline, and implicitly for transports
-/// that cannot be polled).
-enum class ServeMode : std::uint8_t { kEventLoop, kThreadPerConnection };
-
 struct ServerConfig {
   /// Required token when non-empty: a kHello with a different token is
   /// rejected with ErrorCode::kAuthFailed and the connection is closed.
@@ -54,19 +42,17 @@ struct ServerConfig {
   /// Per-frame payload cap on *client -> server* frames. Requests are tiny;
   /// a modest cap bounds what an abusive peer can make the server buffer.
   std::size_t max_request_payload = std::size_t{1} << 20;
-  /// DEPRECATED frame-count alias for the write-queue bound: kept because a
-  /// frame count was the original knob, but a few multi-MB snapshot frames
-  /// evade any count — write_queue_bytes_limit is the real backpressure
-  /// bound. Both are enforced; overflow of either disconnects the peer.
-  std::size_t write_queue_limit = 256;
   /// Per-connection write queue cap, in bytes. Overflow means the consumer
-  /// is too slow to keep up: it is disconnected (slow_disconnects). The
-  /// check is on bytes already queued, so one frame larger than the limit
-  /// still goes out when the queue is under the bound.
+  /// is too slow to keep up: it is disconnected (slow_disconnects). Each
+  /// queued frame is charged its wire bytes plus a fixed per-frame cost
+  /// (its queue slot and buffer allocation), so a peer that pipelines
+  /// requests without reading the replies is bounded too, however small
+  /// the replies. The check is on bytes already queued, so one frame
+  /// larger than the limit still goes out when the queue is under the bound.
   std::size_t write_queue_bytes_limit = std::size_t{32} << 20;
   /// Deadline for the client's first frame, in milliseconds (0 disables).
   /// Bounds how long an idle connect — including one awaiting its busy
-  /// rejection — can pin a conns_ slot.
+  /// rejection — can hold a connection slot.
   std::uint32_t hello_timeout_ms = 5000;
   /// Open subscriptions one connection may hold. Each subscription costs
   /// the Service a stored filter evaluated on every publish, so this is
@@ -88,10 +74,8 @@ struct ServerConfig {
   std::uint32_t request_burst = 32;
   /// Retry-after hint carried in busy sheds to feature-negotiated clients.
   std::uint32_t busy_retry_after_ms = 1000;
-  /// Connection serving model (see ServeMode).
-  ServeMode mode = ServeMode::kEventLoop;
-  /// Event-loop threads (clamped to >= 1). Pollable connections are
-  /// assigned round-robin at accept time.
+  /// Event-loop threads (clamped to >= 1). Connections are assigned
+  /// round-robin at accept time.
   std::size_t io_threads = 1;
   /// Worker threads decoding/dispatching frames off the IO loops. 0 runs
   /// dispatch inline on the IO thread — cheapest, but a slow service query
@@ -114,7 +98,7 @@ struct ServerStats {
   /// and unknown-subscription); auth failures and busy rejections are
   /// counted in their own fields only.
   std::uint64_t protocol_errors = 0;
-  std::uint64_t slow_disconnects = 0;   ///< Write-queue overflows (frames or bytes).
+  std::uint64_t slow_disconnects = 0;   ///< Write-queue overflows.
   std::uint64_t pings_received = 0;     ///< Client keepalive probes answered.
   std::uint64_t keepalive_probes = 0;   ///< Server-initiated kPing probes.
   std::uint64_t keepalive_disconnects = 0;  ///< Peers declared dead after a probe.
@@ -142,20 +126,16 @@ class Server {
 
   [[nodiscard]] ServerStats stats() const;
 
-  /// Live (not yet torn down) connections. Also reaps finished threaded
-  /// handlers — poll it periodically on a long-lived server (bgpcu_serve
-  /// does, every epoch) so joined threads don't wait for the next accept.
-  [[nodiscard]] std::size_t connection_count();
+  /// Live (not yet torn down) connections, including ones still on their
+  /// way from the accept thread into an IO loop.
+  [[nodiscard]] std::size_t connection_count() const;
 
  private:
-  class ConnHandler;          // shared protocol machinery (abstract)
-  class ThreadedConnHandler;  // reader+writer threads (legacy / fallback)
-  class EventConn;            // poller-driven connection state
-  class IoLoop;               // one poller + its thread
-  class WorkerPool;           // frame dispatch off the IO threads
+  class EventConn;   // one connection: protocol + poller-driven IO
+  class IoLoop;      // one poller + its thread
+  class WorkerPool;  // frame dispatch off the IO threads
 
   void accept_loop();
-  void reap_finished();
   /// Runs `conn`'s inbox drain on the worker pool (or inline when
   /// worker_threads == 0).
   void submit_worker(std::shared_ptr<EventConn> conn);
@@ -168,9 +148,6 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
 
-  mutable std::mutex conns_mutex_;
-  /// Threaded handlers only; event connections live in their IoLoop.
-  std::vector<std::shared_ptr<ConnHandler>> conns_;
   /// Created in the constructor (so scrape collectors can count them
   /// immediately), threads spawned in start().
   std::vector<std::unique_ptr<IoLoop>> loops_;
@@ -193,9 +170,8 @@ class Server {
     std::atomic<std::uint64_t> busy_rejections{0};
   };
   mutable AtomicStats stats_;
-  /// Open-connection gauge, computed at scrape time. Counts without reaping
-  /// (no thread joins on the scraping thread). Declared last so it
-  /// unregisters before conns_ is torn down.
+  /// Open-connection gauge, computed at scrape time. Declared last so it
+  /// unregisters before loops_ is torn down.
   obs::ScopedCollector conns_collector_;
 };
 

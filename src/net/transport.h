@@ -39,19 +39,19 @@ enum class IoStatus : std::uint8_t {
 /// READABLE when try_write can make progress (loopback uses an eventfd);
 /// when they are equal (TCP) the owner asks for plain write readiness on
 /// the one fd. A default-constructed PollInfo means the connection cannot
-/// be polled and must be served by the threaded fallback path.
+/// be polled (its readiness fds could not be created); servers refuse it.
 struct PollInfo {
   int read_fd = -1;
   int write_fd = -1;
   [[nodiscard]] bool pollable() const noexcept { return read_fd >= 0 && write_fd >= 0; }
 };
 
-/// One duplex byte-stream connection. Thread model: one reader thread and
-/// one writer thread may use a connection concurrently (read_some vs
-/// write_all); close() may be called from any thread and unblocks both.
-/// The nonblocking surface (poll_info/try_read/try_write) is optional:
-/// transports that don't implement it report a non-pollable PollInfo and
-/// are served by dedicated threads instead of the event loop.
+/// One duplex byte-stream connection, with two surfaces. The blocking one
+/// (read_some/write_all) serves clients: one reader thread and one writer
+/// thread may use it concurrently. The nonblocking one (poll_info/
+/// try_read/try_write) serves the event loop, which drives a connection
+/// from one thread at a time. close() may be called from any thread and
+/// unblocks both.
 class Connection {
  public:
   virtual ~Connection() = default;
@@ -63,9 +63,8 @@ class Connection {
   virtual std::size_t read_some(std::span<std::uint8_t> out) = 0;
 
   /// Bounds how long read_some may block; an expired deadline reads as
-  /// end-of-stream. Zero (the initial state) means block forever. The
-  /// server uses this to put a deadline on the handshake so an idle
-  /// connection cannot pin its threads indefinitely.
+  /// end-of-stream. Zero (the initial state) means block forever. Clients
+  /// use this to bound how long they wait on a silent peer.
   virtual void set_read_timeout(std::chrono::milliseconds timeout) = 0;
 
   /// Blocks until all of `data` is accepted by the transport. Returns false
@@ -84,24 +83,16 @@ class Connection {
   /// Human-readable peer name for diagnostics ("127.0.0.1:45112", "loopback").
   [[nodiscard]] virtual std::string peer_name() const = 0;
 
-  /// Readiness fds for the event loop; non-pollable by default.
-  [[nodiscard]] virtual PollInfo poll_info() const { return {}; }
+  /// Readiness fds for the event loop (see PollInfo).
+  [[nodiscard]] virtual PollInfo poll_info() const = 0;
 
   /// Nonblocking read of up to `out.size()` bytes into `out`. Sets `n` to
   /// the byte count on kOk (n >= 1); n is 0 otherwise. Never blocks.
-  virtual IoStatus try_read(std::span<std::uint8_t> out, std::size_t& n) {
-    (void)out;
-    n = 0;
-    return IoStatus::kEof;
-  }
+  virtual IoStatus try_read(std::span<std::uint8_t> out, std::size_t& n) = 0;
 
   /// Nonblocking write of a prefix of `data`. Sets `n` to the bytes
   /// accepted on kOk (n >= 1); n is 0 otherwise. Never blocks.
-  virtual IoStatus try_write(std::span<const std::uint8_t> data, std::size_t& n) {
-    (void)data;
-    n = 0;
-    return IoStatus::kEof;
-  }
+  virtual IoStatus try_write(std::span<const std::uint8_t> data, std::size_t& n) = 0;
 };
 
 /// Accepts inbound connections. close() unblocks a pending accept().

@@ -1,8 +1,8 @@
 // Fan-out under injected faults (ctest label: chaos — excluded by the
 // 'fast' preset): healthy poller-driven subscribers, fault-wrapped peers
-// whose links are cut mid-stream (these run on the threaded fallback, since
-// a FaultyConnection is non-pollable), and deliberately lazy peers that
-// never drain, all against one event-driven server. The survivors must
+// whose links are cut mid-stream (served by the same event loops as every
+// other connection), and deliberately lazy peers that never drain, all
+// against one event-driven server. The survivors must
 // receive exactly the published sequence, gap-free and in order, while the
 // cut peers die quietly and the lazy peers are shed by byte backpressure —
 // losing a slow or broken subscriber must never cost a healthy one a

@@ -1,11 +1,13 @@
 // Unit tests for the deterministic fault-injection layer (net/fault.h):
-// cut/stall/short-write semantics over real loopback pipes, byte-offset
-// accounting, seeded-plan reproducibility, and the per-accept planner.
+// cut/stall/short-write semantics over real loopback pipes, through both the
+// blocking and the nonblocking surface, byte-offset accounting, seeded-plan
+// reproducibility, and the per-accept planner.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -153,6 +155,88 @@ TEST(FaultPlan, EmptyPlanPassesBytesThroughUntouched) {
   ASSERT_TRUE(faulty->write_all(bytes(100, 0x11)));
   faulty->shutdown_write();
   EXPECT_EQ(drain(*server), bytes(100, 0x11));
+}
+
+// ------------------------------------------- the nonblocking surface --
+// The event-driven server drives wrapped connections through poll_info /
+// try_read / try_write; the same plan must apply there.
+
+TEST(FaultPlan, CutWriteThroughTryWriteAcceptsExactlyTheBudget) {
+  auto [client, server] = make_loopback_pair();
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::cut_write_at(7));
+  auto* wrapped = dynamic_cast<FaultyConnection*>(faulty.get());
+  ASSERT_NE(wrapped, nullptr);
+
+  const auto data = bytes(10);
+  std::size_t n = 0;
+  EXPECT_EQ(faulty->try_write(data, n), IoStatus::kOk);
+  EXPECT_EQ(n, 7u) << "the transfer is capped at the cut boundary";
+  EXPECT_TRUE(wrapped->severed());
+  EXPECT_EQ(faulty->try_write(std::span(data).subspan(n), n), IoStatus::kEof);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(drain(*server).size(), 7u);
+}
+
+TEST(FaultPlan, CutReadThroughTryReadDeliversExactlyTheBudget) {
+  auto [client, server] = make_loopback_pair();
+  ASSERT_TRUE(server->write_all(bytes(32)));
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::cut_read_at(5));
+  auto* wrapped = dynamic_cast<FaultyConnection*>(faulty.get());
+  ASSERT_NE(wrapped, nullptr);
+
+  std::vector<std::uint8_t> buf(64);
+  std::size_t n = 0;
+  EXPECT_EQ(faulty->try_read(buf, n), IoStatus::kOk);
+  EXPECT_EQ(n, 5u);
+  EXPECT_TRUE(wrapped->severed());
+  EXPECT_EQ(faulty->try_read(buf, n), IoStatus::kEof);
+  EXPECT_EQ(n, 0u);
+}
+
+TEST(FaultPlan, ShortWritesCapEveryTryWrite) {
+  auto [client, server] = make_loopback_pair();
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::short_writes(3));
+  const auto data = bytes(20, 0x5A);
+  std::size_t offset = 0;
+  while (offset < data.size()) {
+    std::size_t n = 0;
+    ASSERT_EQ(faulty->try_write(std::span(data).subspan(offset), n), IoStatus::kOk);
+    ASSERT_GE(n, 1u);
+    ASSERT_LE(n, 3u);
+    offset += n;
+  }
+  faulty->shutdown_write();
+  EXPECT_EQ(drain(*server), data);
+}
+
+TEST(FaultPlan, StallThroughTryWriteWouldBlockUntilItsDelayPasses) {
+  auto [client, server] = make_loopback_pair();
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::stall_write_at(4, 50ms));
+  const auto data = bytes(8);
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t n = 0;
+  // Never sleeps: the call returns at once and says "not now".
+  EXPECT_EQ(faulty->try_write(data, n), IoStatus::kWouldBlock);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 45ms);
+  IoStatus status = IoStatus::kWouldBlock;
+  while (status == IoStatus::kWouldBlock) {
+    std::this_thread::sleep_for(5ms);
+    status = faulty->try_write(data, n);
+  }
+  EXPECT_EQ(status, IoStatus::kOk);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 45ms);
+  EXPECT_EQ(n, 8u);
+  // The stall fires once: the next write goes straight through.
+  EXPECT_EQ(faulty->try_write(data, n), IoStatus::kOk);
+}
+
+TEST(FaultPlan, PollInfoIsTheInnerConnections) {
+  auto [client, server] = make_loopback_pair();
+  const auto inner = client->poll_info();
+  ASSERT_TRUE(inner.pollable());
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::cut_write_at(7));
+  EXPECT_EQ(faulty->poll_info().read_fd, inner.read_fd);
+  EXPECT_EQ(faulty->poll_info().write_fd, inner.write_fd);
 }
 
 TEST(FaultyListener, PlannerAssignsAPlanPerAcceptIndex) {

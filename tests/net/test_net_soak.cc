@@ -52,7 +52,7 @@ TEST(NetSoak, ConcurrentClientsSeeConsistentResponsesUnderChurn) {
   });
 
   auto listener = std::make_shared<LoopbackListener>();
-  Server server(service, listener, {.write_queue_limit = 4096});
+  Server server(service, listener);
   server.start();
 
   std::atomic<bool> driver_done{false};

@@ -3,12 +3,16 @@
 // handshake + auth rejection, query request/response for every kind,
 // pipelining, framing splits across reads, malformed frames, subscription
 // lifecycle (replay, unsubscribe, disconnect mid-subscription),
-// slow-subscriber backpressure, half-close, and the connection limit.
+// slow-subscriber backpressure, half-close, the connection limit, and the
+// refusal of connections that cannot be polled.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "api/service.h"
 #include "api/wire.h"
@@ -466,10 +470,11 @@ TEST(NetProtocol, DisconnectMidSubscriptionCleansUpServerSide) {
 }
 
 TEST(NetProtocol, SlowSubscriberIsDisconnectedWithoutStallingPublish) {
-  // Tiny pipes + a 4-frame queue: a subscriber that never reads overflows
-  // almost immediately. The publisher must never block on it, and a
-  // well-behaved subscriber on another connection must see every event.
-  Harness harness({.write_queue_limit = 4}, /*pipe_capacity=*/64);
+  // Tiny pipes + a queue bound of a few small frames: a subscriber that
+  // never reads overflows almost immediately. The publisher must never
+  // block on it, and a well-behaved subscriber on another connection must
+  // see every event.
+  Harness harness({.write_queue_bytes_limit = 256}, /*pipe_capacity=*/64);
 
   auto slow = harness.listener->connect();  // raw: we control (don't do) reads
   ASSERT_TRUE(slow->write_all(api::encode_hello({api::kProtocolVersion, ""})));
@@ -499,10 +504,9 @@ TEST(NetProtocol, SlowSubscriberIsDisconnectedWithoutStallingPublish) {
 TEST(NetProtocol, ByteBoundCatchesSlowSubscriberThatFrameCountMisses) {
   // Regression: the write queue was originally bounded only by frame COUNT,
   // so a handful of multi-KB event frames sat under the limit while pinning
-  // unbounded memory. The byte bound must fire even when the frame count
-  // stays far below its (deliberately huge here) limit.
-  Harness harness({.write_queue_limit = 1024, .write_queue_bytes_limit = 2048},
-                  /*pipe_capacity=*/64);
+  // unbounded memory. The byte bound must fire with only a few frames
+  // queued.
+  Harness harness({.write_queue_bytes_limit = 2048}, /*pipe_capacity=*/64);
 
   auto slow = harness.listener->connect();  // raw: we control (don't do) reads
   ASSERT_TRUE(slow->write_all(api::encode_hello({api::kProtocolVersion, ""})));
@@ -513,7 +517,7 @@ TEST(NetProtocol, ByteBoundCatchesSlowSubscriberThatFrameCountMisses) {
   EXPECT_TRUE(eventually([&] { return harness.service.subscription_count() == 2; }));
 
   // Each epoch flips hundreds of ASNs, so every event frame is large; a few
-  // of them queued unread cross the byte bound long before 1024 frames.
+  // of them queued unread cross the byte bound.
   for (stream::Epoch e = 0; e < 12; ++e) {
     if (e > 0) (void)harness.service.advance_epoch();
     core::Dataset batch;
@@ -556,6 +560,37 @@ TEST(NetProtocol, OneFrameLargerThanTheByteLimitStillGoesOut) {
   EXPECT_EQ(harness.server.stats().slow_disconnects, 0u);
 }
 
+TEST(NetProtocol, PipeliningPeerThatNeverReadsIsShedUnderTheDefaultBound) {
+  // A peer that pipelines requests and never reads a reply fills its write
+  // queue with tiny frames. Each queued frame is charged its queue slot and
+  // buffer on top of its wire bytes, so the default byte bound also caps
+  // the frame count: the peer is cut long before the replies' wire bytes
+  // alone (under 30 bytes each) could add up to the bound.
+  Harness harness;
+  auto conn = harness.listener->connect();  // raw: we never read
+  ASSERT_TRUE(conn->write_all(api::encode_hello({api::kProtocolVersion, ""})));
+
+  constexpr std::uint64_t kBurst = 4096;
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t id = 0; id < kBurst; ++id) {
+    const auto request =
+        api::encode_request({id, {.kind = api::QueryKind::kClassOf, .asn = 10}});
+    burst.insert(burst.end(), request.begin(), request.end());
+  }
+  // Every queued reply costs at least 64 bytes against the bound, and the
+  // pipe buffers at most 64 KiB of replies ahead of the queue, so fewer
+  // requests than this must overflow it; their replies' wire bytes come to
+  // under a third of the bound. The server stops reading while requests
+  // wait for dispatch, so the writes below cannot run far ahead of the
+  // answers: they fail once the server hangs up.
+  const std::uint64_t cap = ServerConfig{}.write_queue_bytes_limit / 64 + (1u << 16);
+  std::uint64_t sent = 0;
+  while (sent < cap && conn->write_all(burst)) sent += kBurst;
+  EXPECT_LT(sent, cap) << "a non-reading peer was never shed";
+  EXPECT_TRUE(eventually([&] { return harness.server.stats().slow_disconnects == 1; }));
+  EXPECT_TRUE(eventually([&] { return harness.server.connection_count() == 0; }));
+}
+
 // ---------------------------------------------------------------- limits --
 
 TEST(NetProtocol, SilentConnectionIsDroppedAtTheHelloDeadline) {
@@ -573,6 +608,80 @@ TEST(NetProtocol, SilentConnectionIsDroppedAtTheHelloDeadline) {
   auto client = harness.client();
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_EQ(client.query({.kind = api::QueryKind::kStats}).stats->epoch, 0u);
+}
+
+/// A loopback connection that reports no readiness fds, as one whose
+/// eventfd creation failed would.
+class NonPollableConnection : public Connection {
+ public:
+  explicit NonPollableConnection(std::unique_ptr<Connection> inner)
+      : inner_(std::move(inner)) {}
+  std::size_t read_some(std::span<std::uint8_t> out) override {
+    return inner_->read_some(out);
+  }
+  void set_read_timeout(std::chrono::milliseconds timeout) override {
+    inner_->set_read_timeout(timeout);
+  }
+  bool write_all(std::span<const std::uint8_t> data) override {
+    return inner_->write_all(data);
+  }
+  void shutdown_write() override { inner_->shutdown_write(); }
+  void close() override { inner_->close(); }
+  [[nodiscard]] std::string peer_name() const override { return inner_->peer_name(); }
+  [[nodiscard]] PollInfo poll_info() const override { return {}; }
+  IoStatus try_read(std::span<std::uint8_t> out, std::size_t& n) override {
+    return inner_->try_read(out, n);
+  }
+  IoStatus try_write(std::span<const std::uint8_t> data, std::size_t& n) override {
+    return inner_->try_write(data, n);
+  }
+
+ private:
+  std::unique_ptr<Connection> inner_;
+};
+
+/// Hands out its first accepted connection as non-pollable.
+class FirstNonPollableListener : public Listener {
+ public:
+  explicit FirstNonPollableListener(std::shared_ptr<LoopbackListener> inner)
+      : inner_(std::move(inner)) {}
+  std::unique_ptr<Connection> accept() override {
+    auto conn = inner_->accept();
+    if (conn && accepted_++ == 0) {
+      return std::make_unique<NonPollableConnection>(std::move(conn));
+    }
+    return conn;
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::shared_ptr<LoopbackListener> inner_;
+  std::size_t accepted_ = 0;  ///< Accept-thread only.
+};
+
+TEST(NetProtocol, NonPollableConnectionIsClosedAtAcceptWithoutTakingASlot) {
+  api::Service service({.stream = {.window_epochs = 1}});
+  auto inner = std::make_shared<LoopbackListener>();
+  Server server(service, std::make_shared<FirstNonPollableListener>(inner),
+                {.max_connections = 1});
+  server.start();
+
+  // The refused connection just ends: no welcome, no error frame. (The
+  // hello may or may not land before the close.)
+  auto refused = inner->connect();
+  (void)refused->write_all(api::encode_hello({api::kProtocolVersion, ""}));
+  FrameBuffer frames;
+  EXPECT_TRUE(next_frame(*refused, frames).empty());
+  EXPECT_EQ(server.connection_count(), 0u);
+
+  // With max_connections = 1, a leaked slot would turn this client away.
+  Client healthy(inner->connect());
+  EXPECT_EQ(healthy.welcome().protocol, api::kProtocolVersion);
+  EXPECT_TRUE(healthy.query({.kind = api::QueryKind::kStats}).stats.has_value());
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  EXPECT_EQ(server.stats().connections_rejected, 0u);
+  server.stop();
 }
 
 TEST(NetProtocol, ConnectionLimitTurnsExtraClientsAway) {
@@ -671,6 +780,33 @@ TEST(NetProtocol, PingIsAnsweredWithPongEchoingTheNonce) {
   EXPECT_EQ(api::peek_frame_type(reply), api::FrameType::kPong);
   EXPECT_EQ(api::decode_ping(reply, api::FrameType::kPong).nonce, 0xDEADBEEFu);
   EXPECT_EQ(harness.server.stats().pings_received, 1u);
+}
+
+TEST(NetProtocol, ReadingResumesAfterABacklogOfFramesThatNeedNoReply) {
+  // Reading pauses while a backlog of inbound frames waits for dispatch.
+  // Unsolicited pongs produce no reply, so only the drained backlog itself
+  // can resume reading: a request queued behind ~3x that backlog of pongs
+  // must still be answered.
+  Harness harness;
+  auto conn = harness.listener->connect();
+  FrameBuffer frames;
+  (void)hello2(*conn, frames);
+  std::vector<std::uint8_t> all;
+  for (std::uint64_t nonce = 0; nonce < 50000; ++nonce) {
+    const auto pong = api::encode_ping({nonce}, api::FrameType::kPong);
+    all.insert(all.end(), pong.begin(), pong.end());
+  }
+  const auto request = api::encode_request({1, {.kind = api::QueryKind::kStats}});
+  all.insert(all.end(), request.begin(), request.end());
+  // The write blocks while reading is paused, so it gets its own thread;
+  // a read deadline turns a wedged server into a failure, not a hang.
+  std::thread writer([&] { (void)conn->write_all(all); });
+  conn->set_read_timeout(10s);
+  const auto reply = next_frame(*conn, frames);
+  conn->close();  // unblocks the writer if the server wedged
+  writer.join();
+  ASSERT_FALSE(reply.empty()) << "reading never resumed after the backlog drained";
+  EXPECT_EQ(api::decode_response(reply).request_id, 1u);
 }
 
 TEST(NetProtocol, PingFromALegacyConnectionIsRejectedLikeAnyReservedType) {

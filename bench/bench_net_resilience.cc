@@ -152,8 +152,8 @@ ShedResult bench_shed(std::size_t requests) {
     }
   };
 
-  (void)conn->write_all(api::encode_hello2({api::kProtocolVersion, "", api::kAllFeatures}));
-  (void)api::decode_welcome2(next_frame());
+  (void)conn->write_all(api::encode_hello({api::kProtocolVersion, ""}));
+  (void)api::decode_welcome(next_frame());
 
   // Reader thread drains responses so the flood never deadlocks on a full
   // write queue in either direction.

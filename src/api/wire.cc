@@ -98,6 +98,18 @@ std::vector<std::uint8_t> seal_frame(FrameType type, std::vector<std::uint8_t> p
   return frame;
 }
 
+/// Rejects a frame-type byte no frame may carry: out of range, or one of
+/// the retired pre-v3 handshake types, which are never reused.
+void check_frame_type(std::uint8_t type_byte) {
+  if (type_byte < 1 || type_byte > kMaxFrameType) {
+    throw WireFormatError("unknown frame type " + std::to_string(type_byte));
+  }
+  if (type_byte == 5 || type_byte == 6) {
+    throw WireFormatError("retired frame type " + std::to_string(type_byte) +
+                          " (the pre-v3 hello/welcome)");
+  }
+}
+
 Frame parse_frame(Reader& r) {
   const auto magic = r.bytes(kWireMagic.size(), "frame magic");
   if (!std::equal(magic.begin(), magic.end(), kWireMagic.begin())) {
@@ -109,9 +121,7 @@ Frame parse_frame(Reader& r) {
                           " (this build reads <= " + std::to_string(kWireVersion) + ")");
   }
   const auto type_byte = r.u8("frame type");
-  if (type_byte < 1 || type_byte > kMaxFrameType) {
-    throw WireFormatError("unknown frame type " + std::to_string(type_byte));
-  }
+  check_frame_type(type_byte);
   const auto start = r.pos;
   const auto length = r.varint("frame payload length");
   if (length > r.remaining()) {
@@ -356,9 +366,7 @@ std::optional<Frame> try_parse_frame(std::span<const std::uint8_t> data,
   }
   if (have < 6) return std::nullopt;
   const auto type_byte = data[5];
-  if (type_byte < 1 || type_byte > kMaxFrameType) {
-    throw WireFormatError("unknown frame type " + std::to_string(type_byte));
-  }
+  check_frame_type(type_byte);
   // Payload length varint, parsed incrementally.
   std::uint64_t length = 0;
   std::size_t pos = 6;
@@ -710,10 +718,17 @@ HelloFrame decode_hello(std::span<const std::uint8_t> frame) {
   return hello;
 }
 
+std::uint8_t peek_hello_protocol(std::span<const std::uint8_t> frame) {
+  Reader r{expect_single_frame(frame, FrameType::kHello, "hello").payload};
+  return r.u8("hello protocol");
+}
+
 std::vector<std::uint8_t> encode_welcome(const WelcomeFrame& welcome) {
   std::vector<std::uint8_t> payload;
   payload.push_back(welcome.protocol);
   put_varint(payload, welcome.epoch);
+  payload.push_back(welcome.replay_horizon.has_value() ? 1 : 0);
+  if (welcome.replay_horizon) put_varint(payload, *welcome.replay_horizon);
   return seal_frame(FrameType::kWelcome, std::move(payload));
 }
 
@@ -723,6 +738,9 @@ WelcomeFrame decode_welcome(std::span<const std::uint8_t> frame) {
   WelcomeFrame welcome;
   welcome.protocol = r.u8("welcome protocol");
   welcome.epoch = r.varint("welcome epoch");
+  const auto has_horizon = r.u8("welcome horizon flag");
+  if (has_horizon > 1) throw WireFormatError("invalid welcome horizon flag");
+  if (has_horizon) welcome.replay_horizon = r.varint("welcome replay horizon");
   expect_exhausted(r, "welcome");
   return welcome;
 }
@@ -741,7 +759,7 @@ ErrorFrame decode_error(std::span<const std::uint8_t> frame) {
   ErrorFrame error;
   error.request_id = r.varint("error request id");
   const auto code = r.u8("error code");
-  if (code < 1 || code > 5) {
+  if (code < 1 || code > 5 || code == 4) {  // 4: the retired server-busy code
     throw WireFormatError("unknown error code " + std::to_string(code));
   }
   error.code = static_cast<ErrorCode>(code);
@@ -800,9 +818,7 @@ std::vector<std::uint8_t> encode_subscribed(const SubscribedFrame& ack, FrameTyp
   std::vector<std::uint8_t> payload;
   put_varint(payload, ack.request_id);
   put_varint(payload, ack.subscription_id);
-  // The replay-coverage byte is only ever encoded toward peers that
-  // negotiated kFeatureResume; legacy decoders reject trailing bytes.
-  if (ack.replay_complete) payload.push_back(*ack.replay_complete ? 1 : 0);
+  if (type == FrameType::kSubscribed) payload.push_back(ack.replay_complete ? 1 : 0);
   return seal_frame(type, std::move(payload));
 }
 
@@ -814,7 +830,7 @@ SubscribedFrame decode_subscribed(std::span<const std::uint8_t> frame, FrameType
   SubscribedFrame ack;
   ack.request_id = r.varint("ack request id");
   ack.subscription_id = r.varint("ack subscription id");
-  if (r.remaining() > 0) {
+  if (type == FrameType::kSubscribed) {
     const auto flag = r.u8("ack replay-complete flag");
     if (flag > 1) throw WireFormatError("invalid ack replay-complete flag");
     ack.replay_complete = flag == 1;
@@ -929,50 +945,7 @@ ResponseFrame decode_response(std::span<const std::uint8_t> frame) {
   return response;
 }
 
-// ------------------------------------- negotiated reliability frames (15-19) --
-
-std::vector<std::uint8_t> encode_hello2(const Hello2Frame& hello) {
-  std::vector<std::uint8_t> payload;
-  payload.push_back(hello.protocol);
-  put_string(payload, hello.token);
-  put_varint(payload, hello.features);
-  return seal_frame(FrameType::kHello2, std::move(payload));
-}
-
-Hello2Frame decode_hello2(std::span<const std::uint8_t> frame) {
-  const auto parsed = expect_single_frame(frame, FrameType::kHello2, "hello2");
-  Reader r{parsed.payload};
-  Hello2Frame hello;
-  hello.protocol = r.u8("hello2 protocol");
-  hello.token = get_string(r, "hello2 token");
-  hello.features = r.varint("hello2 features");
-  expect_exhausted(r, "hello2");
-  return hello;
-}
-
-std::vector<std::uint8_t> encode_welcome2(const Welcome2Frame& welcome) {
-  std::vector<std::uint8_t> payload;
-  payload.push_back(welcome.protocol);
-  put_varint(payload, welcome.epoch);
-  put_varint(payload, welcome.features);
-  payload.push_back(welcome.replay_horizon.has_value() ? 1 : 0);
-  if (welcome.replay_horizon) put_varint(payload, *welcome.replay_horizon);
-  return seal_frame(FrameType::kWelcome2, std::move(payload));
-}
-
-Welcome2Frame decode_welcome2(std::span<const std::uint8_t> frame) {
-  const auto parsed = expect_single_frame(frame, FrameType::kWelcome2, "welcome2");
-  Reader r{parsed.payload};
-  Welcome2Frame welcome;
-  welcome.protocol = r.u8("welcome2 protocol");
-  welcome.epoch = r.varint("welcome2 epoch");
-  welcome.features = r.varint("welcome2 features");
-  const auto has_horizon = r.u8("welcome2 horizon flag");
-  if (has_horizon > 1) throw WireFormatError("invalid welcome2 horizon flag");
-  if (has_horizon) welcome.replay_horizon = r.varint("welcome2 replay horizon");
-  expect_exhausted(r, "welcome2");
-  return welcome;
-}
+// ------------------------------------------------------ keepalive and busy --
 
 std::vector<std::uint8_t> encode_ping(const PingFrame& ping, FrameType type) {
   if (type != FrameType::kPing && type != FrameType::kPong) {

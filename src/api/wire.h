@@ -54,19 +54,22 @@ inline constexpr std::uint8_t kWireVersion = 1;
 /// mixed-version client/server pair into a clean "unsupported protocol
 /// version" handshake error instead of a mid-payload decode failure.
 /// v2: the stats query response grew the snapshot-path fields.
-inline constexpr std::uint8_t kProtocolVersion = 2;
+/// v3: one handshake (kHello/kWelcome, types 15/16) with keepalive, kBusy
+/// sheds and the subscribe-ack coverage byte always on; the v2 hello and
+/// welcome (types 5/6), feature negotiation and the server-busy error code
+/// are retired.
+inline constexpr std::uint8_t kProtocolVersion = 3;
 
 /// Record types carried in a frame header. Values are wire-stable. Types
-/// 1-4 are the v1 artifact frames (files, logs); 5-14 are the network
-/// protocol frames spoken between bgpcu_serve and net::Client (see
-/// docs/PROTOCOL.md).
+/// 1-4 are the v1 artifact frames (files, logs); 7-19 are the network
+/// protocol frames spoken between bgpcu_serve and its clients (see
+/// docs/PROTOCOL.md). Types 5 and 6 (the pre-v3 hello/welcome) are
+/// retired: never reused, and every decoder rejects them.
 enum class FrameType : std::uint8_t {
   kSnapshot = 1,       ///< Full InferenceResult.
   kDeltaBatch = 2,     ///< One EpochDelta (epoch + class changes).
   kQueryRequest = 3,   ///< api::QueryRequest.
   kQueryResponse = 4,  ///< api::QueryResponse.
-  kHello = 5,          ///< Client handshake: protocol version + auth token.
-  kWelcome = 6,        ///< Server handshake accept: version + current epoch.
   kError = 7,          ///< Request-level or connection-level failure.
   kSubscribe = 8,      ///< Open a filtered class-change subscription.
   kSubscribed = 9,     ///< Subscription acknowledgment with its id.
@@ -75,9 +78,9 @@ enum class FrameType : std::uint8_t {
   kResponse = 12,      ///< Answer to kRequest, matched by request id.
   kUnsubscribe = 13,   ///< Close one subscription by id.
   kUnsubscribed = 14,  ///< Unsubscribe acknowledgment.
-  kHello2 = 15,        ///< Feature-negotiating handshake: hello + feature bits.
-  kWelcome2 = 16,      ///< Answer to kHello2: welcome + granted features + horizon.
-  kPing = 17,          ///< Keepalive probe (either direction, negotiated).
+  kHello = 15,         ///< Client handshake: protocol version + auth token.
+  kWelcome = 16,       ///< Handshake accept: version + current epoch + horizon.
+  kPing = 17,          ///< Keepalive probe (either direction).
   kPong = 18,          ///< Keepalive reply echoing the probe nonce.
   kBusy = 19,          ///< Structured overload shed with a retry-after hint.
 };
@@ -145,15 +148,15 @@ class FrameReader {
 [[nodiscard]] std::vector<std::uint8_t> encode_query_response(const QueryResponse& response);
 [[nodiscard]] QueryResponse decode_query_response(std::span<const std::uint8_t> frame);
 
-// --- Network protocol frames (types 5-14). These are the unit of exchange
-// --- between bgpcu_serve and net::Client; layout in docs/PROTOCOL.md.
+// --- Network protocol frames (types 7-19). These are the unit of exchange
+// --- between bgpcu_serve and its clients; layout in docs/PROTOCOL.md.
 
-/// Why the server failed a request (kError frames). Values are wire-stable.
+/// Why the server failed a request (kError frames). Values are wire-stable;
+/// 4 (the pre-v3 server-busy code) is retired — every shed is a kBusy frame.
 enum class ErrorCode : std::uint8_t {
   kAuthFailed = 1,           ///< Missing or wrong auth token.
   kBadRequest = 2,           ///< Malformed or unexpected frame.
   kUnknownSubscription = 3,  ///< Unsubscribe for an id the connection never opened.
-  kServerBusy = 4,           ///< Connection limit reached; try later.
   kInternal = 5,             ///< Server-side failure answering a valid request.
 };
 
@@ -169,6 +172,10 @@ struct HelloFrame {
 struct WelcomeFrame {
   std::uint8_t protocol = kProtocolVersion;
   stream::Epoch epoch = 0;  ///< Service epoch at accept time.
+  /// Oldest epoch the server's event log can still replay; nullopt when
+  /// nothing has been published yet. Advisory — the authoritative per-replay
+  /// coverage answer is the subscribe ack's replay_complete flag.
+  std::optional<stream::Epoch> replay_horizon;
 
   friend bool operator==(const WelcomeFrame&, const WelcomeFrame&) = default;
 };
@@ -197,17 +204,17 @@ struct SubscribeFrame {
 /// Acknowledges kSubscribe (`subscription_id` names the new subscription)
 /// and kUnsubscribe (as kUnsubscribed, echoing the closed id).
 ///
-/// `replay_complete` is engaged only on connections that negotiated
-/// kFeatureResume: when the subscribe asked for a replay_from epoch, it says
-/// whether the retained event log still covered that epoch (false = the
-/// replay horizon has passed it and the replayed tail is lossy — the client
-/// must re-sync from a snapshot). Computed atomically with the replay inside
-/// the service, so it cannot race a concurrent publish eviction. Legacy
-/// connections never see the extra byte, keeping the ack layout additive.
+/// `replay_complete` travels only in kSubscribed acks, as one trailing byte:
+/// when the subscribe asked for a replay_from epoch, it says whether the
+/// retained event log still covered that epoch (false = the replay horizon
+/// has passed it and the replayed tail is lossy — the client must re-sync
+/// from a snapshot). Computed atomically with the replay inside the
+/// service, so it cannot race a concurrent publish eviction. kUnsubscribed
+/// acks never carry the byte; they decode with the default.
 struct SubscribedFrame {
   std::uint64_t request_id = 0;
   std::uint64_t subscription_id = 0;
-  std::optional<bool> replay_complete;
+  bool replay_complete = true;
 
   friend bool operator==(const SubscribedFrame&, const SubscribedFrame&) = default;
 };
@@ -243,42 +250,6 @@ struct ResponseFrame {
   QueryResponse response;
 };
 
-// --- Negotiated reliability frames (types 15-19). A client opts in by
-// --- opening with kHello2; the server only ever sends these types on
-// --- connections that did, so a legacy peer never sees an unknown type.
-
-/// Feature bits carried in kHello2 (requested) and kWelcome2 (granted).
-/// The effective feature set of a connection is the intersection.
-inline constexpr std::uint64_t kFeatureKeepalive = 1u << 0;  ///< kPing/kPong allowed.
-inline constexpr std::uint64_t kFeatureBusyRetry = 1u << 1;  ///< Sheds arrive as kBusy.
-inline constexpr std::uint64_t kFeatureResume = 1u << 2;     ///< Acks carry replay_complete.
-inline constexpr std::uint64_t kAllFeatures =
-    kFeatureKeepalive | kFeatureBusyRetry | kFeatureResume;
-
-/// Feature-negotiating handshake, client -> server. Replaces kHello on
-/// clients that want the reliability extensions; servers accept either as
-/// the first frame.
-struct Hello2Frame {
-  std::uint8_t protocol = kProtocolVersion;
-  std::string token;
-  std::uint64_t features = 0;  ///< Requested kFeature* bits.
-
-  friend bool operator==(const Hello2Frame&, const Hello2Frame&) = default;
-};
-
-/// Answer to kHello2, server -> client.
-struct Welcome2Frame {
-  std::uint8_t protocol = kProtocolVersion;
-  stream::Epoch epoch = 0;     ///< Service epoch at accept time.
-  std::uint64_t features = 0;  ///< Granted kFeature* bits (subset of requested).
-  /// Oldest epoch the server's event log can still replay; nullopt when
-  /// nothing has been published yet. Advisory — the authoritative per-replay
-  /// coverage answer is the subscribe ack's replay_complete flag.
-  std::optional<stream::Epoch> replay_horizon;
-
-  friend bool operator==(const Welcome2Frame&, const Welcome2Frame&) = default;
-};
-
 /// Keepalive probe/reply. The same payload serves kPing and kPong (the reply
 /// echoes the probe's nonce), mirroring the kSubscribed/kUnsubscribed
 /// type-parameterized codec.
@@ -288,10 +259,10 @@ struct PingFrame {
   friend bool operator==(const PingFrame&, const PingFrame&) = default;
 };
 
-/// Structured overload shed, server -> client (kFeatureBusyRetry
-/// connections). `request_id` 0 means connection-level (admission control —
-/// the server closes after sending it); nonzero sheds one rate-limited
-/// request while the connection stays usable.
+/// Structured overload shed, server -> client. `request_id` 0 means
+/// connection-level (admission control — the server closes after sending
+/// it); nonzero sheds one rate-limited request while the connection stays
+/// usable.
 struct BusyFrame {
   std::uint64_t request_id = 0;
   std::uint64_t retry_after_ms = 0;  ///< Hint: back off at least this long.
@@ -302,6 +273,13 @@ struct BusyFrame {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(const HelloFrame& hello);
 [[nodiscard]] HelloFrame decode_hello(std::span<const std::uint8_t> frame);
+
+/// The protocol byte leading a kHello payload, read without decoding the
+/// rest. The server checks it first, so a peer of another protocol version,
+/// whose hello layout may differ (v2's carried a feature-bits varint), is
+/// refused by name rather than as a malformed frame. Throws WireFormatError
+/// when `frame` is not a hello or its payload is empty.
+[[nodiscard]] std::uint8_t peek_hello_protocol(std::span<const std::uint8_t> frame);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_welcome(const WelcomeFrame& welcome);
 [[nodiscard]] WelcomeFrame decode_welcome(std::span<const std::uint8_t> frame);
@@ -342,12 +320,6 @@ struct BusyFrame {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_response(const ResponseFrame& response);
 [[nodiscard]] ResponseFrame decode_response(std::span<const std::uint8_t> frame);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_hello2(const Hello2Frame& hello);
-[[nodiscard]] Hello2Frame decode_hello2(std::span<const std::uint8_t> frame);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_welcome2(const Welcome2Frame& welcome);
-[[nodiscard]] Welcome2Frame decode_welcome2(std::span<const std::uint8_t> frame);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_ping(const PingFrame& ping,
                                                     FrameType type = FrameType::kPing);

@@ -1,9 +1,12 @@
-// net::Client — the synchronous consumer side of the frame protocol, used
-// by `bgpcu_query --connect` and the protocol tests. One Client wraps one
-// Connection: the constructor performs the hello/welcome handshake, query()
-// is blocking request/response (pushed events arriving in between are
-// buffered, never lost), and subscribe()/next_event() expose the class-
-// change feed. Single-threaded by design: call it from one thread.
+// net::Client — the synchronous, single-connection consumer side of the
+// frame protocol (v3), used by the protocol conformance tests; tools and
+// benches ride net::ResilientClient. One Client wraps one Connection: the
+// constructor performs the hello/welcome handshake, query() is blocking
+// request/response (pushed events arriving in between are buffered, never
+// lost), and subscribe()/next_event() expose the class-change feed. Every
+// read answers the server's keepalive kPing with a kPong, so a client
+// blocked in next_event() on a quiet feed stays connected. Single-threaded
+// by design: call it from one thread.
 #ifndef BGPCU_NET_CLIENT_H
 #define BGPCU_NET_CLIENT_H
 
@@ -31,6 +34,21 @@ class ProtocolError : public std::runtime_error {
   api::ErrorFrame error_;
 };
 
+/// The server shed us with a kBusy frame; carries the retry-after hint.
+/// Request id 0 is connection-level (the server closes next); otherwise only
+/// that request was shed and the connection stays usable.
+class BusyError : public std::runtime_error {
+ public:
+  explicit BusyError(api::BusyFrame busy)
+      : std::runtime_error("server busy: " + busy.message), busy_(std::move(busy)) {}
+
+  [[nodiscard]] const api::BusyFrame& busy() const noexcept { return busy_; }
+  [[nodiscard]] std::uint64_t retry_after_ms() const noexcept { return busy_.retry_after_ms; }
+
+ private:
+  api::BusyFrame busy_;
+};
+
 class Client {
  public:
   struct Options {
@@ -40,15 +58,18 @@ class Client {
   };
 
   /// Performs the handshake; throws ProtocolError when the server rejects
-  /// it (auth, busy) and TransportError when the connection drops mid-way.
+  /// it (auth, version), BusyError at its connection limit, and
+  /// TransportError when the connection drops mid-way.
   Client(std::unique_ptr<Connection> conn, Options options);
   explicit Client(std::unique_ptr<Connection> conn) : Client(std::move(conn), Options{}) {}
 
-  /// The server's handshake accept (protocol version + epoch at connect).
+  /// The server's handshake accept (protocol version, epoch at connect,
+  /// replay horizon).
   [[nodiscard]] const api::WelcomeFrame& welcome() const noexcept { return welcome_; }
 
   /// Blocking request/response. Events pushed while waiting are buffered
-  /// for next_event(). Throws ProtocolError on a kError answer.
+  /// for next_event(). Throws ProtocolError on a kError answer and
+  /// BusyError when the request is shed.
   [[nodiscard]] api::QueryResponse query(const api::QueryRequest& request);
 
   /// Opens a subscription; returns its id (carried by every kEvent for it).
@@ -71,6 +92,10 @@ class Client {
  private:
   /// Next complete frame from the wire; empty on end-of-stream.
   [[nodiscard]] std::vector<std::uint8_t> read_frame();
+  /// Reads until a frame of type `want` arrives (empty on end-of-stream):
+  /// buffers events, answers pings, and throws on kBusy, kError or any
+  /// other type.
+  [[nodiscard]] std::vector<std::uint8_t> await(api::FrameType want);
   void send(const std::vector<std::uint8_t>& frame);
 
   std::unique_ptr<Connection> conn_;

@@ -104,20 +104,9 @@ std::uint64_t ResilientClient::connect_with_backoff() {
       handshake();
       prev_backoff_ms_ = 0;
       return attempts;
-    } catch (const ProtocolError& e) {
+    } catch (const ProtocolError&) {
       drop_connection();
-      const auto code = e.error().code;
-      if (code == api::ErrorCode::kBadRequest && !legacy_ &&
-          e.error().message.find("unsupported protocol version") == std::string::npos) {
-        // A pre-reliability server rejects the kHello2 type itself (as
-        // opposed to rejecting our protocol *version*): fall back to the
-        // legacy handshake, permanently, and redial right away.
-        legacy_ = true;
-        ++stats_.legacy_downgrades;
-        --attempts;
-        continue;
-      }
-      if (code != api::ErrorCode::kServerBusy) throw;  // Auth/bad request: permanent.
+      throw;  // Auth failure or version mismatch: permanent.
     } catch (const BusyError& e) {
       drop_connection();
       hint = e.retry_after_ms();
@@ -138,59 +127,26 @@ std::uint64_t ResilientClient::connect_with_backoff() {
 
 void ResilientClient::handshake() {
   // Mirror net::Client: the server may reject-and-hang-up before our hello
-  // lands, and its error frame is still readable after the failed write.
-  if (!legacy_) {
-    api::Hello2Frame hello;
-    hello.token = config_.token;
-    hello.features = api::kAllFeatures;
-    try {
-      send(api::encode_hello2(hello));
-    } catch (const TransportError&) {
-    }
-  } else {
-    try {
-      send(api::encode_hello({api::kProtocolVersion, config_.token}));
-    } catch (const TransportError&) {
-    }
+  // lands, and its answer is still readable after the failed write.
+  try {
+    send(api::encode_hello({api::kProtocolVersion, config_.token}));
+  } catch (const TransportError&) {
   }
-  const auto frame = read_frame(ms(config_.handshake_timeout_ms));
-  if (frame.empty()) throw TransportError("connection closed during handshake");
-  switch (api::peek_frame_type(frame)) {
-    case api::FrameType::kWelcome2:
-      welcome_ = api::decode_welcome2(frame);
-      return;
-    case api::FrameType::kWelcome: {
-      const auto w = api::decode_welcome(frame);
-      welcome_ = api::Welcome2Frame{};  // Legacy peer: no features, no horizon.
-      welcome_.protocol = w.protocol;
-      welcome_.epoch = w.epoch;
-      return;
-    }
-    case api::FrameType::kBusy:
-      throw BusyError(api::decode_busy(frame));
-    case api::FrameType::kError:
-      throw ProtocolError(api::decode_error(frame));
-    default:
-      throw TransportError("unexpected handshake frame type");
-  }
+  std::vector<api::EventFrame> none;  // nothing is subscribed before the welcome
+  welcome_ = api::decode_welcome(
+      await(api::FrameType::kWelcome, config_.handshake_timeout_ms, none));
 }
 
-void ResilientClient::establish_subscription() {
-  const std::optional<stream::Epoch> replay =
-      last_seen_ ? std::optional<stream::Epoch>(*last_seen_ + 1) : initial_replay_from_;
-  const auto id = next_request_id_++;
-  send(api::encode_subscribe({id, filter_, replay}));
-  std::vector<api::EventFrame> held;
-  api::SubscribedFrame ack;
+std::vector<std::uint8_t> ResilientClient::await(api::FrameType want, std::uint64_t timeout_ms,
+                                                 std::vector<api::EventFrame>& held) {
   for (;;) {
-    const auto frame = read_frame(ms(config_.handshake_timeout_ms));
-    if (frame.empty()) throw TransportError("connection closed awaiting subscribe ack");
-    const auto type = api::peek_frame_type(frame);
-    if (type == api::FrameType::kSubscribed) {
-      ack = api::decode_subscribed(frame);
-      if (ack.request_id != id) throw TransportError("subscribe ack for wrong request id");
-      break;
+    auto frame = read_frame(ms(timeout_ms));
+    if (frame.empty()) {
+      throw TransportError("connection closed awaiting frame type " +
+                           std::to_string(static_cast<int>(want)));
     }
+    const auto type = api::peek_frame_type(frame);
+    if (type == want) return frame;
     switch (type) {
       case api::FrameType::kEvent:
         held.push_back(api::decode_event(frame));
@@ -202,27 +158,32 @@ void ResilientClient::establish_subscription() {
         break;
       case api::FrameType::kBusy:
         throw BusyError(api::decode_busy(frame));
-      case api::FrameType::kError: {
-        auto err = api::decode_error(frame);
-        if (err.code == api::ErrorCode::kServerBusy) {
-          throw BusyError(api::BusyFrame{err.request_id, 0, err.message});
-        }
-        throw ProtocolError(std::move(err));
-      }
+      case api::FrameType::kError:
+        throw ProtocolError(api::decode_error(frame));
       default:
-        throw TransportError("unexpected frame while awaiting subscribe ack");
+        throw TransportError("unexpected frame type " +
+                             std::to_string(static_cast<int>(type)) + " awaiting type " +
+                             std::to_string(static_cast<int>(want)));
     }
   }
+}
+
+void ResilientClient::establish_subscription() {
+  const std::optional<stream::Epoch> replay =
+      last_seen_ ? std::optional<stream::Epoch>(*last_seen_ + 1) : initial_replay_from_;
+  const auto id = next_request_id_++;
+  send(api::encode_subscribe({id, filter_, replay}));
+  std::vector<api::EventFrame> held;
+  const auto ack = api::decode_subscribed(
+      await(api::FrameType::kSubscribed, config_.handshake_timeout_ms, held));
+  if (ack.request_id != id) throw TransportError("subscribe ack for wrong request id");
   subscription_id_ = ack.subscription_id;
-  // A legacy server cannot report coverage; assume the replay was complete —
-  // the documented residual risk of running resume against a v1 peer.
-  const bool complete = ack.replay_complete.value_or(true);
-  if (replay && !complete) {
+  if (replay && !ack.replay_complete) {
     ++stats_.gap_resyncs;
     obs::metrics().net_client_gap_resyncs.add();
     api::QueryRequest req;
     req.kind = api::QueryKind::kSnapshot;
-    const auto resp = query_on_conn(req, &held);
+    const auto resp = query_on_conn(req, held);
     if (!resp.snapshot) throw TransportError("snapshot re-sync returned no snapshot");
     const stream::Epoch gap_from = *replay;
     const stream::Epoch gap_to =
@@ -256,7 +217,7 @@ api::QueryResponse ResilientClient::query(const api::QueryRequest& request) {
     try {
       ensure_session();
       std::vector<api::EventFrame> held;
-      auto response = query_on_conn(request, &held);
+      auto response = query_on_conn(request, held);
       for (const auto& event : held) deliver_event(event);
       return response;
     } catch (const RetriesExhausted&) {
@@ -279,43 +240,13 @@ api::QueryResponse ResilientClient::query(const api::QueryRequest& request) {
 }
 
 api::QueryResponse ResilientClient::query_on_conn(const api::QueryRequest& request,
-                                                  std::vector<api::EventFrame>* held) {
+                                                  std::vector<api::EventFrame>& held) {
   const auto id = next_request_id_++;
   send(api::encode_request({id, request}));
-  for (;;) {
-    const auto frame = read_frame(ms(config_.request_deadline_ms));
-    if (frame.empty()) {
-      throw TransportError("connection closed awaiting response " + std::to_string(id));
-    }
-    switch (api::peek_frame_type(frame)) {
-      case api::FrameType::kEvent:
-        held->push_back(api::decode_event(frame));
-        break;
-      case api::FrameType::kResponse: {
-        auto response = api::decode_response(frame);
-        if (response.request_id != id) {
-          throw TransportError("response id does not match request");
-        }
-        return std::move(response.response);
-      }
-      case api::FrameType::kPing:
-        send(api::encode_ping(api::decode_ping(frame), api::FrameType::kPong));
-        break;
-      case api::FrameType::kPong:
-        break;
-      case api::FrameType::kBusy:
-        throw BusyError(api::decode_busy(frame));
-      case api::FrameType::kError: {
-        auto err = api::decode_error(frame);
-        if (err.code == api::ErrorCode::kServerBusy) {
-          throw BusyError(api::BusyFrame{err.request_id, 0, err.message});
-        }
-        throw ProtocolError(std::move(err));
-      }
-      default:
-        throw TransportError("unexpected frame while awaiting response");
-    }
-  }
+  auto response =
+      api::decode_response(await(api::FrameType::kResponse, config_.request_deadline_ms, held));
+  if (response.request_id != id) throw TransportError("response id does not match request");
+  return std::move(response.response);
 }
 
 void ResilientClient::subscribe(api::SubscriptionFilter filter,
@@ -342,8 +273,7 @@ std::optional<ResilientClient::Event> ResilientClient::next_event() {
     // kGap, replayed deltas). Surface those before blocking on the wire, or a
     // quiet stream would sit on them until the next keepalive or live delta.
     if (!out_events_.empty()) continue;
-    const bool keepalive = config_.keepalive_interval_ms != 0 &&
-                           (welcome_.features & api::kFeatureKeepalive) != 0;
+    const bool keepalive = config_.keepalive_interval_ms != 0;
     std::vector<std::uint8_t> frame;
     try {
       frame = read_frame(ms(keepalive ? config_.keepalive_interval_ms : 0));

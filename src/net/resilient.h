@@ -4,8 +4,6 @@
 //
 //   - capped exponential backoff with decorrelated jitter between connect
 //     attempts, honoring the server's kBusy retry-after hint as a floor;
-//   - feature negotiation (kHello2) with a sticky downgrade to the legacy
-//     kHello handshake when the peer predates the reliability frames;
 //   - gap-free subscription resume: on reconnect it re-subscribes with
 //     replay_from = last_seen_epoch + 1 and trusts the ack's
 //     replay_complete flag (computed atomically with the replay inside the
@@ -17,7 +15,10 @@
 //     busy sheds until the deadline expires;
 //   - optional client-side keepalive: an idle subscription stream is
 //     probed with kPing so a dead link is detected instead of blocking
-//     next_event() forever.
+//     next_event() forever. The server's own probes are answered always.
+//
+// It speaks protocol v3 only: a server of another version refuses the
+// hello by name, which surfaces as a permanent ProtocolError.
 //
 // Single-threaded like net::Client: call it from one thread. Reconnection
 // happens lazily inside query()/next_event(), never on a background thread.
@@ -43,21 +44,6 @@
 #include "net/transport.h"
 
 namespace bgpcu::net {
-
-/// The server shed us with a kBusy frame (or legacy kServerBusy error);
-/// carries the retry-after hint. Retryable — ResilientClient honors the
-/// hint internally and only lets this escape when a deadline expires.
-class BusyError : public std::runtime_error {
- public:
-  explicit BusyError(api::BusyFrame busy)
-      : std::runtime_error("server busy: " + busy.message), busy_(std::move(busy)) {}
-
-  [[nodiscard]] const api::BusyFrame& busy() const noexcept { return busy_; }
-  [[nodiscard]] std::uint64_t retry_after_ms() const noexcept { return busy_.retry_after_ms; }
-
- private:
-  api::BusyFrame busy_;
-};
 
 /// The configured connect-attempt budget ran out. Distinct from plain
 /// TransportError so callers (bgpcu_query) can map it to the
@@ -131,7 +117,6 @@ class ResilientClient {
     std::uint64_t gap_resyncs = 0;
     std::uint64_t busy_deferrals = 0;
     std::uint64_t pings_sent = 0;
-    std::uint64_t legacy_downgrades = 0;
   };
 
   ResilientClient(Connector connector, ResilientConfig config);
@@ -139,7 +124,8 @@ class ResilientClient {
   /// Connects (if needed) and runs one query with retry/deadline semantics.
   /// Throws ProtocolError on a permanent server answer (auth failure, bad
   /// request), BusyError/TransportError once the deadline or attempt budget
-  /// is exhausted.
+  /// is exhausted. A BusyError (net/client.h) is otherwise retried
+  /// internally, honoring its retry-after hint.
   [[nodiscard]] api::QueryResponse query(const api::QueryRequest& request);
 
   /// Registers the (single) subscription this client maintains across
@@ -155,9 +141,8 @@ class ResilientClient {
   /// permanent failures.
   [[nodiscard]] std::optional<Event> next_event();
 
-  /// Handshake result of the current/last connection. For a legacy peer the
-  /// feature bits are 0 and replay_horizon is empty.
-  [[nodiscard]] const api::Welcome2Frame& welcome() const noexcept { return welcome_; }
+  /// Handshake result of the current/last connection.
+  [[nodiscard]] const api::WelcomeFrame& welcome() const noexcept { return welcome_; }
 
   /// Epoch of the newest delta delivered (or covered by a gap re-sync).
   [[nodiscard]] std::optional<stream::Epoch> last_seen_epoch() const noexcept {
@@ -188,7 +173,12 @@ class ResilientClient {
   /// the replay horizon passed it.
   void establish_subscription();
   [[nodiscard]] api::QueryResponse query_on_conn(const api::QueryRequest& request,
-                                                 std::vector<api::EventFrame>* held);
+                                                 std::vector<api::EventFrame>& held);
+  /// Reads until a frame of type `want` arrives, each read deadlined by
+  /// `timeout_ms` (0 = none): events go to `held`, pings are answered, and
+  /// kBusy, kError, any other type or EOF throws.
+  [[nodiscard]] std::vector<std::uint8_t> await(api::FrameType want, std::uint64_t timeout_ms,
+                                                std::vector<api::EventFrame>& held);
   /// Applies one inbound stream frame (event/ping/pong/busy/error).
   void dispatch_stream_frame(const std::vector<std::uint8_t>& frame);
   void deliver_event(const api::EventFrame& event);
@@ -210,10 +200,9 @@ class ResilientClient {
   std::unique_ptr<Connection> conn_;
   FrameBuffer frames_;
   std::vector<std::uint8_t> chunk_;
-  api::Welcome2Frame welcome_;
+  api::WelcomeFrame welcome_;
   std::mt19937_64 rng_;
   std::uint64_t prev_backoff_ms_ = 0;
-  bool legacy_ = false;  ///< Sticky: the peer rejected kHello2 once.
   bool closed_ = false;
   bool ever_connected_ = false;
 

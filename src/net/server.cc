@@ -76,7 +76,7 @@ constexpr std::size_t kInboxPauseBytes = std::size_t{1} << 20;
 class Server::EventConn : public std::enable_shared_from_this<Server::EventConn> {
  public:
   /// `reject` marks an over-limit connection: its first frame is answered
-  /// with kServerBusy (or structured kBusy) and the connection torn down.
+  /// with a connection-level kBusy and the connection torn down.
   /// Rejecting through a normal connection (rather than write-and-close in
   /// the accept loop) matters on real TCP: closing with the client's unread
   /// hello still buffered raises RST, which can discard the queued error.
@@ -166,23 +166,33 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
     enqueue_frame(api::encode_error({request_id, code, message}));
   }
 
-  /// Rejects the hello token / protocol version; returns true when the
-  /// handshake may proceed. Shared by the legacy and feature handshakes.
-  bool check_handshake(std::uint8_t protocol, const std::string& token) {
-    // Exact match: an older client would misdecode responses whose
-    // payloads grew since its version (e.g. the v2 stats fields), so the
-    // handshake is where the mismatch must fail, loudly and by name.
+  /// Answers the opening frame: kWelcome, or one error and false. Throws
+  /// WireFormatError on a hello payload that does not decode.
+  bool handshake(api::FrameType type, const std::vector<std::uint8_t>& frame) {
+    if (type != api::FrameType::kHello) {
+      send_error(0, api::ErrorCode::kBadRequest, "first frame must be hello");
+      return false;
+    }
+    // Exact match, checked before the rest of the payload is decoded: an
+    // older client would misdecode responses whose payloads grew since its
+    // version, and its hello may not even parse as ours (v2's carried a
+    // feature-bits varint), so the mismatch must fail loudly and by name.
+    const auto protocol = api::peek_hello_protocol(frame);
     if (protocol != api::kProtocolVersion) {
       send_error(0, api::ErrorCode::kBadRequest,
                  "unsupported protocol version " + std::to_string(protocol));
       return false;
     }
-    if (!server_.config_.auth_token.empty() && token != server_.config_.auth_token) {
+    const auto hello = api::decode_hello(frame);
+    if (!server_.config_.auth_token.empty() && hello.token != server_.config_.auth_token) {
       server_.stats_.auth_failures.fetch_add(1);
       obs::metrics().net_auth_failures.add(1);
       send_error(0, api::ErrorCode::kAuthFailed, "bad auth token");
       return false;
     }
+    hello_passed_.store(true);  // lifts the first-frame deadline, starts keepalive
+    enqueue_frame(api::encode_welcome({api::kProtocolVersion, server_.service_.epoch(),
+                                       server_.service_.replay_horizon()}));
     return true;
   }
 
@@ -203,70 +213,34 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
     return false;
   }
 
-  /// Sheds one over-budget request before it reaches the service: kBusy with
-  /// a retry-after hint for feature-negotiated peers, classic kServerBusy
-  /// otherwise. Non-fatal — the connection (and its subscriptions) live on.
+  /// Sheds one over-budget request before it reaches the service, as a
+  /// kBusy with a retry-after hint. Non-fatal — the connection (and its
+  /// subscriptions) live on.
   void shed_request(std::uint64_t request_id) {
     server_.stats_.requests_shed.fetch_add(1);
     obs::metrics().net_requests_shed.add(1);
-    const auto message = "request rate limit exceeded";
-    if (features_ & api::kFeatureBusyRetry) {
-      enqueue_frame(api::encode_busy(
-          {request_id, server_.config_.busy_retry_after_ms, message}));
-    } else {
-      enqueue_frame(api::encode_error({request_id, api::ErrorCode::kServerBusy, message}));
-    }
+    enqueue_frame(api::encode_busy(
+        {request_id, server_.config_.busy_retry_after_ms, "request rate limit exceeded"}));
   }
 
   /// Dispatches one complete inbound frame. Returns false on a fatal
   /// protocol violation (an error frame has been queued; stop reading).
-  /// Serialized per connection by the inbox drain.
+  /// Throws WireFormatError on a payload that does not decode. Serialized
+  /// per connection by the inbox drain.
   bool handle_frame(const std::vector<std::uint8_t>& frame) {
     const auto type = api::peek_frame_type(frame);
     if (reject_) {
-      // The client's opening frame has now been consumed, so the error can
-      // reach it without a reset racing the close. A feature-negotiating
-      // client gets the structured shed with its retry-after hint.
-      if (type == api::FrameType::kHello2) {
-        server_.stats_.busy_rejections.fetch_add(1);
-        obs::metrics().net_busy_rejections.add(1);
-        enqueue_frame(api::encode_busy(
-            {0, server_.config_.busy_retry_after_ms, "connection limit reached"}));
-        return false;
-      }
-      send_error(0, api::ErrorCode::kServerBusy, "connection limit reached");
+      // The client's opening frame has now been consumed, so the shed can
+      // reach it without a reset racing the close.
+      server_.stats_.busy_rejections.fetch_add(1);
+      obs::metrics().net_busy_rejections.add(1);
+      enqueue_frame(api::encode_busy(
+          {0, server_.config_.busy_retry_after_ms, "connection limit reached"}));
       return false;
     }
-    if (!hello_passed_.load()) {
-      if (type == api::FrameType::kHello2) {
-        const auto hello = api::decode_hello2(frame);
-        if (!check_handshake(hello.protocol, hello.token)) return false;
-        features_ = hello.features & api::kAllFeatures;
-        if (features_ & api::kFeatureKeepalive) keepalive_negotiated_.store(true);
-        hello_passed_.store(true);  // lifts the first-frame deadline
-        api::Welcome2Frame welcome;
-        welcome.protocol = api::kProtocolVersion;
-        welcome.epoch = server_.service_.epoch();
-        welcome.features = features_;
-        welcome.replay_horizon = server_.service_.replay_horizon();
-        enqueue_frame(api::encode_welcome2(welcome));
-        return true;
-      }
-      if (type != api::FrameType::kHello) {
-        send_error(0, api::ErrorCode::kBadRequest, "first frame must be hello");
-        return false;
-      }
-      const auto hello = api::decode_hello(frame);
-      if (!check_handshake(hello.protocol, hello.token)) return false;
-      hello_passed_.store(true);
-      enqueue_frame(api::encode_welcome({api::kProtocolVersion, server_.service_.epoch()}));
-      return true;
-    }
+    if (!hello_passed_.load()) return handshake(type, frame);
     switch (type) {
       case api::FrameType::kPing: {
-        // Keepalive probe from a feature-negotiated client; a legacy peer
-        // sending one is as unexpected as any other reserved type.
-        if (features_ == 0) return unexpected_type(type);
         const auto ping = api::decode_ping(frame);
         server_.stats_.pings_received.fetch_add(1);
         obs::metrics().net_pings_received.add(1);
@@ -274,7 +248,6 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
         return true;
       }
       case api::FrameType::kPong: {
-        if (features_ == 0) return unexpected_type(type);
         // The probe's job was done by the bytes arriving (last_rx_ms_ is
         // already fresh); decode only to validate.
         (void)api::decode_ping(frame, api::FrameType::kPong);
@@ -327,12 +300,11 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
         // Replayed events are therefore enqueued ahead of the ack — clients
         // buffer events at any time, so that ordering is fine.
         std::weak_ptr<EventConn> weak = weak_from_this();
-        // Resume-negotiated peers learn atomically with the replay whether
-        // the event log still covered their replay_from epoch; a false flag
-        // tells the client to re-sync from a snapshot instead of trusting
-        // the (lossy) replayed tail.
-        bool replay_complete = true;
-        const bool report_coverage = (features_ & api::kFeatureResume) != 0;
+        // The peer learns atomically with the replay whether the event log
+        // still covered its replay_from epoch; a false flag tells the client
+        // to re-sync from a snapshot instead of trusting the (lossy)
+        // replayed tail.
+        api::SubscribedFrame ack{subscribe.request_id, local_id};
         // The encoded flavor: publish() serializes the filtered delta once
         // per distinct filter and every matching connection shares the
         // buffer; only the per-subscription frame prefix is owned here.
@@ -343,7 +315,7 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
                 self->enqueue_event(local_id, payload);
               }
             },
-            subscribe.replay_from, report_coverage ? &replay_complete : nullptr);
+            subscribe.replay_from, &ack.replay_complete);
         bool released = false;
         {
           const std::lock_guard lock(subs_mutex_);
@@ -356,10 +328,6 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
           (void)server_.service_.unsubscribe(service_id);
           return true;
         }
-        api::SubscribedFrame ack;
-        ack.request_id = subscribe.request_id;
-        ack.subscription_id = local_id;
-        if (report_coverage) ack.replay_complete = replay_complete;
         enqueue_frame(api::encode_subscribed(ack));
         return true;
       }
@@ -380,10 +348,8 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
           return true;  // non-fatal: the client may have raced a disconnect
         }
         (void)server_.service_.unsubscribe(*service_id);
-        api::SubscribedFrame ack;
-        ack.request_id = unsubscribe.request_id;
-        ack.subscription_id = unsubscribe.subscription_id;
-        enqueue_frame(api::encode_subscribed(ack, api::FrameType::kUnsubscribed));
+        enqueue_frame(api::encode_subscribed({unsubscribe.request_id, unsubscribe.subscription_id},
+                                             api::FrameType::kUnsubscribed));
         return true;
       }
       default:
@@ -398,16 +364,11 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
     return false;
   }
 
-  [[nodiscard]] bool keepalive_enabled() const {
-    return keepalive_negotiated_.load() && server_.config_.keepalive_interval_ms > 0;
-  }
-
   Server& server_;
   std::unique_ptr<Connection> conn_;
   const bool reject_;
 
   // Dispatch-serialized state (inbox drain — never concurrent with itself).
-  std::uint64_t features_ = 0;  ///< Granted kFeature* bits (0 = legacy peer).
   std::uint64_t next_subscription_id_ = 1;
   double rate_tokens_ = 0;
   std::chrono::steady_clock::time_point rate_last_ = std::chrono::steady_clock::now();
@@ -417,8 +378,7 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
   std::unordered_map<std::uint64_t, api::SubscriptionId> subscriptions_;
   bool subs_released_ = false;
 
-  // Crosses dispatch -> keepalive prober.
-  std::atomic<bool> keepalive_negotiated_{false};
+  /// Last inbound byte: the keepalive baseline.
   std::atomic<std::uint64_t> last_rx_ms_{0};
 
  public:
@@ -889,10 +849,15 @@ void Server::EventConn::drain_inbox() {
         fatal_ = true;
         break;
       }
-      if (!handle_frame(item.frame)) {
+      try {
+        fatal_ = !handle_frame(item.frame);
+      } catch (const api::WireFormatError& e) {
+        // A well-framed frame whose payload does not decode ends the
+        // connection exactly like a framing error.
+        send_error(0, api::ErrorCode::kBadRequest, e.what());
         fatal_ = true;
-        break;
       }
+      if (fatal_) break;
     }
     bool do_finalize = false;
     {
@@ -1025,7 +990,7 @@ std::uint64_t Server::EventConn::next_deadline() const {
   if (!hello && server_.config_.hello_timeout_ms > 0 && !read_done_) {
     due = adopt_ms_ + server_.config_.hello_timeout_ms;
   }
-  if (hello && keepalive_enabled()) {
+  if (hello && server_.config_.keepalive_interval_ms > 0) {
     const std::uint64_t keepalive_due =
         ping_outstanding_ ? ping_sent_ms_ + server_.config_.keepalive_timeout_ms
                           : last_rx_ms_.load() + server_.config_.keepalive_interval_ms;
@@ -1051,7 +1016,7 @@ void Server::EventConn::on_deadline(IoLoop& loop, std::uint64_t now) {
     update_interest(loop);
     if (schedule) server_.submit_worker(self());
   }
-  if (hello_passed_.load() && keepalive_enabled()) keepalive_check(now);
+  if (hello_passed_.load() && server_.config_.keepalive_interval_ms > 0) keepalive_check(now);
 }
 
 void Server::EventConn::keepalive_check(std::uint64_t now) {
@@ -1133,14 +1098,14 @@ void Server::accept_loop() {
     if (reject) {
       stats_.connections_rejected.fetch_add(1);
       obs::metrics().net_connections_rejected.add(1);
-      // Graceful rejection (read the hello, answer kServerBusy) costs live
+      // Graceful rejection (read the hello, answer kBusy) costs live
       // connection state for up to hello_timeout_ms. Under a connection
       // flood that would grow without bound, so past a small overflow
-      // margin the rejection turns abrupt: best-effort error write,
+      // margin the rejection turns abrupt: best-effort kBusy write,
       // immediate close, no connection state.
       if (live >= config_.max_connections + kGracefulRejectSlots) {
-        (void)conn->write_all(api::encode_error(
-            {0, api::ErrorCode::kServerBusy, "connection limit reached"}));
+        (void)conn->write_all(
+            api::encode_busy({0, config_.busy_retry_after_ms, "connection limit reached"}));
         conn->shutdown_write();
         conn->close();
         continue;
@@ -1150,8 +1115,8 @@ void Server::accept_loop() {
       obs::metrics().net_connections_accepted.add(1);
     }
     // Rejected connections (within the margin) are served like any other —
-    // the first frame is answered with kServerBusy and the connection torn
-    // down — so the error is flushed before the close.
+    // the first frame is answered with kBusy and the connection torn down —
+    // so the shed is flushed before the close.
     auto& loop = *loops_[next_loop_++ % loops_.size()];
     const auto token_base = next_conn_id_.fetch_add(1) << 1;
     loop.adopt(

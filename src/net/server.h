@@ -1,7 +1,10 @@
 // The serving core behind bgpcu_serve: accepts Transport connections and
 // speaks the frame protocol (docs/PROTOCOL.md) over each, translating
 // kRequest frames into api::Service queries and kSubscribe frames into
-// service subscriptions whose events stream back as kEvent frames.
+// service subscriptions whose events stream back as kEvent frames. Every
+// connection speaks protocol v3: one hello/welcome handshake, after which
+// keepalive probes, kBusy sheds and the subscribe-ack coverage byte apply
+// unconditionally — there is nothing to negotiate.
 //
 // Concurrency model — the point of this class: connections are served by an
 // event-driven readiness loop. An accept thread hands each connection to one
@@ -37,7 +40,7 @@ struct ServerConfig {
   /// Required token when non-empty: a kHello with a different token is
   /// rejected with ErrorCode::kAuthFailed and the connection is closed.
   std::string auth_token;
-  /// Accepted connections beyond this are turned away with kServerBusy.
+  /// Accepted connections beyond this are turned away with a kBusy.
   std::size_t max_connections = 64;
   /// Per-frame payload cap on *client -> server* frames. Requests are tiny;
   /// a modest cap bounds what an abusive peer can make the server buffer.
@@ -58,7 +61,7 @@ struct ServerConfig {
   /// the Service a stored filter evaluated on every publish, so this is
   /// bounded for the same reason as the wire-level watchlist cap.
   std::size_t max_subscriptions_per_connection = 64;
-  /// How long a keepalive-negotiated connection may stay silent before the
+  /// How long a connection may stay silent after its handshake before the
   /// server probes it with kPing, in milliseconds (0 disables probing).
   /// A dead peer is detected even when the server has nothing to send.
   std::uint32_t keepalive_interval_ms = 15000;
@@ -67,12 +70,12 @@ struct ServerConfig {
   std::uint32_t keepalive_timeout_ms = 5000;
   /// Per-connection request/subscribe admission rate (token bucket refilled
   /// continuously, burst capacity `request_burst`). Over-budget requests are
-  /// shed cheap-and-early — answered with kBusy (feature-negotiated peers)
-  /// or kServerBusy *before* touching the service — instead of timing out
-  /// deep in the dispatch queue. 0 = unlimited.
+  /// shed cheap-and-early — answered with kBusy *before* touching the
+  /// service — instead of timing out deep in the dispatch queue.
+  /// 0 = unlimited.
   std::uint32_t max_requests_per_sec = 0;
   std::uint32_t request_burst = 32;
-  /// Retry-after hint carried in busy sheds to feature-negotiated clients.
+  /// Retry-after hint carried in every kBusy shed.
   std::uint32_t busy_retry_after_ms = 1000;
   /// Event-loop threads (clamped to >= 1). Connections are assigned
   /// round-robin at accept time.
@@ -103,7 +106,7 @@ struct ServerStats {
   std::uint64_t keepalive_probes = 0;   ///< Server-initiated kPing probes.
   std::uint64_t keepalive_disconnects = 0;  ///< Peers declared dead after a probe.
   std::uint64_t requests_shed = 0;      ///< Rate-limited requests answered busy.
-  std::uint64_t busy_rejections = 0;    ///< Admission rejections sent as kBusy.
+  std::uint64_t busy_rejections = 0;    ///< Over-limit connections shed after their first frame.
 };
 
 class Server {

@@ -435,17 +435,32 @@ TEST(WireCorruption, OversizedVarintAndBadClassByteThrow) {
 
 // -------------------------------------------------- protocol frame codecs --
 
+/// A protocol-v2 feature-negotiating hello: the v3 hello layout (same frame
+/// type 15) plus a trailing feature-bits varint.
+std::vector<std::uint8_t> v2_feature_hello(std::uint8_t protocol) {
+  auto frame = encode_hello({protocol, ""});
+  frame.push_back(0x07);  // the v2 client's "all features" bits
+  ++frame[6];             // one-byte payload length field
+  return frame;
+}
+
 TEST(WireProtocolFrames, HelloWelcomeErrorRoundTrip) {
-  const HelloFrame hello{kWireVersion, "s3cr3t-token"};
+  const HelloFrame hello{kProtocolVersion, "s3cr3t-token"};
   EXPECT_EQ(decode_hello(encode_hello(hello)), hello);
-  const HelloFrame anonymous{kWireVersion, ""};
+  EXPECT_EQ(peek_hello_protocol(encode_hello(hello)), kProtocolVersion);
+  const HelloFrame anonymous{kProtocolVersion, ""};
   EXPECT_EQ(decode_hello(encode_hello(anonymous)), anonymous);
 
-  const WelcomeFrame welcome{kWireVersion, 918273};
+  const WelcomeFrame welcome{kProtocolVersion, 918273, 918270};
   EXPECT_EQ(decode_welcome(encode_welcome(welcome)), welcome);
 
   const ErrorFrame error{42, ErrorCode::kAuthFailed, "bad token"};
   EXPECT_EQ(decode_error(encode_error(error)), error);
+  // Error code 4 (the pre-v3 server-busy code) is retired and no longer decodes.
+  auto retired = encode_error({42, ErrorCode::kBadRequest, ""});
+  ASSERT_EQ(retired[8], static_cast<std::uint8_t>(ErrorCode::kBadRequest));
+  retired[8] = 4;  // header (6) + payload length (1) + request id (1)
+  EXPECT_THROW((void)decode_error(retired), WireFormatError);
 }
 
 TEST(WireProtocolFrames, SubscribeRoundTripCoversFilterShapes) {
@@ -551,27 +566,30 @@ TEST(WireProtocolFrames, EventRequestResponseRoundTrip) {
 }
 
 TEST(WireProtocolFrames, ReliabilityHandshakeFramesRoundTrip) {
-  const Hello2Frame hello{kProtocolVersion, "s3cr3t-token", kAllFeatures};
-  EXPECT_EQ(decode_hello2(encode_hello2(hello)), hello);
-  // Unknown future bits survive the trip verbatim: the server masks them
-  // against kAllFeatures, the codec must not.
-  const Hello2Frame future{kProtocolVersion, "", kFeatureKeepalive | (1ull << 40)};
-  EXPECT_EQ(decode_hello2(encode_hello2(future)), future);
-
-  Welcome2Frame welcome;
-  welcome.epoch = 918273;
-  welcome.features = kFeatureKeepalive | kFeatureResume;
-  welcome.replay_horizon = 918270;
-  EXPECT_EQ(decode_welcome2(encode_welcome2(welcome)), welcome);
   // A server that never published advertises no horizon; the nullopt must
   // be distinguishable from horizon 0.
-  Welcome2Frame fresh;
-  EXPECT_EQ(decode_welcome2(encode_welcome2(fresh)), fresh);
-  Welcome2Frame zero;
+  WelcomeFrame fresh;
+  EXPECT_EQ(decode_welcome(encode_welcome(fresh)), fresh);
+  WelcomeFrame zero;
   zero.replay_horizon = 0;
-  EXPECT_EQ(decode_welcome2(encode_welcome2(zero)), zero);
-  EXPECT_NE(decode_welcome2(encode_welcome2(zero)).replay_horizon,
-            decode_welcome2(encode_welcome2(fresh)).replay_horizon);
+  EXPECT_EQ(decode_welcome(encode_welcome(zero)), zero);
+  EXPECT_NE(decode_welcome(encode_welcome(zero)).replay_horizon,
+            decode_welcome(encode_welcome(fresh)).replay_horizon);
+
+  // The v2 feature-negotiating hello shares frame type 15 with the v3
+  // hello. Its protocol byte still reads, which is how the server refuses
+  // it by name, but its feature bits are trailing garbage to the v3 decoder.
+  const auto v2_hello = v2_feature_hello(2);
+  EXPECT_EQ(peek_hello_protocol(v2_hello), 2u);
+  EXPECT_THROW((void)decode_hello(v2_hello), WireFormatError);
+
+  // The retired pre-v3 hello/welcome types (5, 6) do not frame at all.
+  for (const std::uint8_t retired : {5, 6}) {
+    auto frame = encode_hello({kProtocolVersion, ""});
+    frame[5] = retired;
+    EXPECT_THROW((void)peek_frame_type(frame), WireFormatError) << int{retired};
+    EXPECT_THROW((void)try_parse_frame(frame), WireFormatError) << int{retired};
+  }
 }
 
 TEST(WireProtocolFrames, KeepaliveAndBusyFramesRoundTrip) {
@@ -588,24 +606,29 @@ TEST(WireProtocolFrames, KeepaliveAndBusyFramesRoundTrip) {
 }
 
 TEST(WireProtocolFrames, SubscribeAckCoverageByteIsAdditive) {
-  // The three ack shapes are distinct on the wire and each survives a trip:
-  // legacy (no byte), covered, and horizon-missed.
-  const SubscribedFrame legacy{5, 77, std::nullopt};
+  // Both coverage answers survive a trip and are distinct on the wire.
   const SubscribedFrame covered{5, 77, true};
   const SubscribedFrame missed{5, 77, false};
-  for (const auto& ack : {legacy, covered, missed}) {
+  for (const auto& ack : {covered, missed}) {
     EXPECT_EQ(decode_subscribed(encode_subscribed(ack)), ack);
   }
-  EXPECT_NE(encode_subscribed(legacy), encode_subscribed(covered));
   EXPECT_NE(encode_subscribed(covered), encode_subscribed(missed));
-  // The coverage flag costs exactly one trailing payload byte; the fixed
-  // fields in front of it are untouched, which is what keeps the ack additive.
-  const auto with_byte = encode_subscribed(covered);
-  const auto without = encode_subscribed(legacy);
+  // Every subscribe ack carries the flag as one byte after the fields it
+  // shares with the unsubscribe ack, which never carries it.
+  const auto with_byte = encode_subscribed(missed);
+  const auto without = encode_subscribed(missed, FrameType::kUnsubscribed);
   EXPECT_EQ(with_byte.size(), without.size() + 1);
-  const auto reparsed = decode_subscribed(with_byte);
-  EXPECT_EQ(reparsed.request_id, legacy.request_id);
-  EXPECT_EQ(reparsed.subscription_id, legacy.subscription_id);
+  const auto unsubscribed = decode_subscribed(without, FrameType::kUnsubscribed);
+  EXPECT_EQ(unsubscribed.request_id, missed.request_id);
+  EXPECT_EQ(unsubscribed.subscription_id, missed.subscription_id);
+  // So a subscribe ack without the byte is truncated, and an unsubscribe
+  // ack with it has trailing garbage.
+  auto short_ack = without;
+  short_ack[5] = static_cast<std::uint8_t>(FrameType::kSubscribed);
+  EXPECT_THROW((void)decode_subscribed(short_ack), WireFormatError);
+  auto long_ack = with_byte;
+  long_ack[5] = static_cast<std::uint8_t>(FrameType::kUnsubscribed);
+  EXPECT_THROW((void)decode_subscribed(long_ack, FrameType::kUnsubscribed), WireFormatError);
 }
 
 // ------------------------------------------------------------- fuzz sweep --
@@ -639,9 +662,9 @@ std::vector<Corpus> build_corpus(topology::Rng& rng) {
                     +[](std::span<const std::uint8_t> b) { (void)decode_query_response(b); }});
   corpus.push_back({"query-response-metrics", encode_golden_metrics_response(),
                     +[](std::span<const std::uint8_t> b) { (void)decode_query_response(b); }});
-  corpus.push_back({"hello", encode_hello({kWireVersion, "fuzz-token"}),
+  corpus.push_back({"hello", encode_hello({kProtocolVersion, "fuzz-token"}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_hello(b); }});
-  corpus.push_back({"welcome", encode_welcome({kWireVersion, 99}),
+  corpus.push_back({"welcome", encode_welcome({kProtocolVersion, 99, 42}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_welcome(b); }});
   corpus.push_back({"error", encode_error({1, ErrorCode::kBadRequest, "nope"}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_error(b); }});
@@ -650,8 +673,12 @@ std::vector<Corpus> build_corpus(topology::Rng& rng) {
   subscribe.filter.from = "tn";
   corpus.push_back({"subscribe", encode_subscribe(subscribe),
                     +[](std::span<const std::uint8_t> b) { (void)decode_subscribe(b); }});
-  corpus.push_back({"subscribed", encode_subscribed({2, 4}),
+  corpus.push_back({"subscribed", encode_subscribed({2, 4, false}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_subscribed(b); }});
+  corpus.push_back({"unsubscribed", encode_subscribed({3, 4}, FrameType::kUnsubscribed),
+                    +[](std::span<const std::uint8_t> b) {
+                      (void)decode_subscribed(b, FrameType::kUnsubscribed);
+                    }});
   corpus.push_back({"unsubscribe", encode_unsubscribe({3, 4}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_unsubscribe(b); }});
   topology::Rng delta_rng(rng.below(1u << 30) + 1);
@@ -665,14 +692,6 @@ std::vector<Corpus> build_corpus(topology::Rng& rng) {
   tagged.response.stats = ServiceStats{};
   corpus.push_back({"response", encode_response(tagged),
                     +[](std::span<const std::uint8_t> b) { (void)decode_response(b); }});
-  corpus.push_back({"hello2", encode_hello2({kProtocolVersion, "fuzz-token", kAllFeatures}),
-                    +[](std::span<const std::uint8_t> b) { (void)decode_hello2(b); }});
-  Welcome2Frame welcome2;
-  welcome2.epoch = 99;
-  welcome2.features = kAllFeatures;
-  welcome2.replay_horizon = 42;
-  corpus.push_back({"welcome2", encode_welcome2(welcome2),
-                    +[](std::span<const std::uint8_t> b) { (void)decode_welcome2(b); }});
   corpus.push_back({"ping", encode_ping({0x1234567890ABCDEFull}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_ping(b); }});
   corpus.push_back({"pong", encode_ping({7}, FrameType::kPong),
@@ -681,8 +700,6 @@ std::vector<Corpus> build_corpus(topology::Rng& rng) {
                     }});
   corpus.push_back({"busy", encode_busy({9, 500, "overloaded"}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_busy(b); }});
-  corpus.push_back({"subscribed-resume", encode_subscribed({2, 4, false}),
-                    +[](std::span<const std::uint8_t> b) { (void)decode_subscribed(b); }});
   return corpus;
 }
 

@@ -138,8 +138,7 @@ TEST(Chaos, CutsAtEveryOffsetAcrossTheExchangeLeakNoServerState) {
 
   for (std::size_t i = 0; i < kSweep; ++i) {
     auto conn = harness.inner->connect();
-    std::vector<std::uint8_t> burst =
-        api::encode_hello2({api::kProtocolVersion, "", api::kAllFeatures});
+    std::vector<std::uint8_t> burst = api::encode_hello({api::kProtocolVersion, ""});
     const auto subscribe = api::encode_subscribe({1, {}, 0});
     const auto request = api::encode_request({2, {.kind = api::QueryKind::kStats}});
     burst.insert(burst.end(), subscribe.begin(), subscribe.end());

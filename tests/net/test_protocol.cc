@@ -1,10 +1,12 @@
 // Protocol conformance suite, run entirely over the in-process loopback
 // transport — no ports, fully deterministic. Covers the acceptance list:
-// handshake + auth rejection, query request/response for every kind,
-// pipelining, framing splits across reads, malformed frames, subscription
-// lifecycle (replay, unsubscribe, disconnect mid-subscription),
-// slow-subscriber backpressure, half-close, the connection limit, and the
-// refusal of connections that cannot be polled.
+// handshake + auth rejection, the refusal of protocol-v2 peers, query
+// request/response for every kind, pipelining, framing splits across
+// reads, malformed frames and malformed payloads of every client frame
+// type, subscription lifecycle (replay, unsubscribe, disconnect
+// mid-subscription), slow-subscriber backpressure, half-close, the
+// connection limit, keepalive probing, overload shedding, resume coverage,
+// and the refusal of connections that cannot be polled.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -87,6 +89,27 @@ std::vector<std::uint8_t> next_frame(Connection& conn, FrameBuffer& frames) {
   }
 }
 
+/// Completes the handshake on a raw connection; returns the welcome.
+api::WelcomeFrame hello(Connection& conn, FrameBuffer& frames, const std::string& token = "") {
+  EXPECT_TRUE(conn.write_all(api::encode_hello({api::kProtocolVersion, token})));
+  return api::decode_welcome(next_frame(conn, frames));
+}
+
+/// Reads one frame and checks it is the connection-level kBadRequest that
+/// ends a connection, followed by EOF. Returns its message.
+std::string expect_fatal_bad_request(Connection& conn, FrameBuffer& frames) {
+  const auto frame = next_frame(conn, frames);
+  if (frame.empty()) {
+    ADD_FAILURE() << "EOF instead of an error frame";
+    return {};
+  }
+  const auto error = api::decode_error(frame);
+  EXPECT_EQ(error.code, api::ErrorCode::kBadRequest) << error.message;
+  EXPECT_EQ(error.request_id, 0u) << error.message;
+  EXPECT_TRUE(next_frame(conn, frames).empty()) << "no EOF after: " << error.message;
+  return error.message;
+}
+
 // -------------------------------------------------------------- handshake --
 
 TEST(NetProtocol, HandshakeReportsProtocolAndEpoch) {
@@ -100,8 +123,8 @@ TEST(NetProtocol, HandshakeReportsProtocolAndEpoch) {
 
 TEST(NetProtocol, StaleProtocolVersionIsRefusedAtHandshake) {
   // A peer speaking an older (or bogus) protocol version must be refused
-  // by name at the hello — it would misdecode grown payloads (the v2 stats
-  // fields) as trailing garbage otherwise. Exact match, both directions.
+  // by name at the hello — it would misdecode grown payloads as trailing
+  // garbage otherwise. Exact match, both directions.
   Harness harness;
   for (const std::uint8_t stale :
        {static_cast<std::uint8_t>(api::kProtocolVersion - 1), static_cast<std::uint8_t>(0),
@@ -109,17 +132,38 @@ TEST(NetProtocol, StaleProtocolVersionIsRefusedAtHandshake) {
     auto conn = harness.listener->connect();
     ASSERT_TRUE(conn->write_all(api::encode_hello({stale, ""})));
     FrameBuffer frames;
-    const auto frame = next_frame(*conn, frames);
-    ASSERT_FALSE(frame.empty()) << "version " << int(stale);
-    const auto error = api::decode_error(frame);
-    EXPECT_EQ(error.code, api::ErrorCode::kBadRequest) << "version " << int(stale);
-    EXPECT_NE(error.message.find("unsupported protocol version"), std::string::npos)
-        << error.message;
-    EXPECT_TRUE(next_frame(*conn, frames).empty());
+    EXPECT_EQ(expect_fatal_bad_request(*conn, frames),
+              "unsupported protocol version " + std::to_string(stale));
   }
   // The current version still gets through.
   auto ok = harness.client();
   EXPECT_EQ(ok.welcome().protocol, api::kProtocolVersion);
+}
+
+TEST(NetProtocol, ProtocolV2OpenersGetOneErrorThenEof) {
+  // Both v2 openers: the plain hello (frame type 5, now retired) and the
+  // feature-negotiating hello (type 15, like the v3 hello, plus a
+  // feature-bits varint the v3 payload decoder rejects). The server reads
+  // the version byte before the rest, so the second peer learns why by name.
+  Harness harness;
+  auto plain_hello = api::encode_hello({2, ""});
+  plain_hello[5] = 5;
+  auto feature_hello = api::encode_hello({2, ""});
+  feature_hello.push_back(0x07);  // the v2 client's "all features" bits
+  ++feature_hello[6];             // one-byte payload length field
+  for (const auto& [opener, message] :
+       {std::pair{plain_hello, std::string("retired frame type 5")},
+        std::pair{feature_hello, std::string("unsupported protocol version 2")}}) {
+    auto conn = harness.listener->connect();
+    ASSERT_TRUE(conn->write_all(opener));
+    FrameBuffer frames;
+    EXPECT_NE(expect_fatal_bad_request(*conn, frames).find(message), std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(harness.server.stats().protocol_errors, 2u);
+  // The server keeps serving.
+  auto ok = harness.client();
+  EXPECT_TRUE(ok.query({.kind = api::QueryKind::kStats}).stats.has_value());
 }
 
 TEST(NetProtocol, WrongAuthTokenIsRejected) {
@@ -210,13 +254,12 @@ TEST(NetProtocol, MetricsQueryReturnsTheFullRegistryScrape) {
 
 TEST(NetProtocol, MetricsKindIsAdditiveForV2Clients) {
   // kMetrics rode into protocol v2 without a version bump — a client that
-  // never requests it must see exactly the pre-metrics surface: the same
-  // handshake version and no metrics payload on any other query kind.
-  EXPECT_EQ(api::kProtocolVersion, 2u);
+  // never requests it must see exactly the pre-metrics surface: no metrics
+  // payload on any other query kind.
   Harness harness;
   (void)harness.service.ingest({tuple(10, 20, true)});
   auto client = harness.client();
-  EXPECT_EQ(client.welcome().protocol, 2u);
+  EXPECT_EQ(client.welcome().protocol, api::kProtocolVersion);
   for (const auto kind : {api::QueryKind::kClassOf, api::QueryKind::kSnapshot,
                           api::QueryKind::kLiveCounters, api::QueryKind::kStats}) {
     const auto response = client.query({.kind = kind, .asn = 10});
@@ -261,11 +304,10 @@ TEST(NetProtocol, HistoryQueryRoundTripsRetainedPlusLivePoints) {
 TEST(NetProtocol, HistoryKindIsAdditiveForV2Clients) {
   // kHistory rode into protocol v2 without a version bump, like kMetrics —
   // a client that never asks for it sees the exact pre-history surface.
-  EXPECT_EQ(api::kProtocolVersion, 2u);
   Harness harness;
   (void)harness.service.ingest({tuple(10, 20, true)});
   auto client = harness.client();
-  EXPECT_EQ(client.welcome().protocol, 2u);
+  EXPECT_EQ(client.welcome().protocol, api::kProtocolVersion);
   for (const auto kind : {api::QueryKind::kClassOf, api::QueryKind::kSnapshot,
                           api::QueryKind::kLiveCounters, api::QueryKind::kStats,
                           api::QueryKind::kMetrics}) {
@@ -327,27 +369,73 @@ TEST(NetProtocol, FramesSplitAcrossReadsAreReassembled) {
 TEST(NetProtocol, MalformedBytesGetErrorFrameThenClose) {
   Harness harness;
   auto conn = harness.listener->connect();
-  ASSERT_TRUE(conn->write_all(api::encode_hello({api::kProtocolVersion, ""})));
   FrameBuffer frames;
-  EXPECT_EQ(api::peek_frame_type(next_frame(*conn, frames)), api::FrameType::kWelcome);
+  (void)hello(*conn, frames);
 
   const std::vector<std::uint8_t> garbage = {'n', 'o', 't', ' ', 'w', 'i', 'r', 'e'};
   ASSERT_TRUE(conn->write_all(garbage));
-  const auto frame = next_frame(*conn, frames);
-  ASSERT_FALSE(frame.empty());
-  const auto error = api::decode_error(frame);
-  EXPECT_EQ(error.code, api::ErrorCode::kBadRequest);
-  EXPECT_EQ(error.request_id, 0u);
-  EXPECT_TRUE(next_frame(*conn, frames).empty());
+  (void)expect_fatal_bad_request(*conn, frames);
   EXPECT_GE(harness.server.stats().protocol_errors, 1u);
+}
+
+/// `frame` (payload under 128 bytes) with its payload one byte shorter
+/// (`delta` -1) or carrying one garbage byte more (`delta` +1); the frame
+/// header stays valid, so only the payload decoder can object.
+std::vector<std::uint8_t> reshape_payload(std::vector<std::uint8_t> frame, int delta) {
+  if (delta < 0) {
+    frame.pop_back();
+  } else {
+    frame.push_back(0);
+  }
+  frame[6] = static_cast<std::uint8_t>(frame[6] + delta);  // one-byte length field
+  return frame;
+}
+
+TEST(NetProtocol, MalformedPayloadOfEveryClientTypeGetsBadRequestThenClose) {
+  // A well-framed frame whose payload does not decode must cost the sender
+  // its connection (one kBadRequest, id 0, then EOF) and nothing else: the
+  // daemon keeps serving. The hello goes out unauthenticated, so this holds
+  // before auth too.
+  Harness harness({.auth_token = "sesame"});
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> valid = {
+      {"hello", api::encode_hello({api::kProtocolVersion, ""})},
+      {"ping", api::encode_ping({7})},
+      {"pong", api::encode_ping({7}, api::FrameType::kPong)},
+      {"request", api::encode_request({1, {.kind = api::QueryKind::kStats}})},
+      {"subscribe", api::encode_subscribe({1, {}, std::nullopt})},
+      {"unsubscribe", api::encode_unsubscribe({1, 1})},
+  };
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> malformed;
+  for (const auto& [name, frame] : valid) {
+    malformed.emplace_back(name + " truncated", reshape_payload(frame, -1));
+    malformed.emplace_back(name + " with trailing garbage", reshape_payload(frame, +1));
+  }
+  auto unknown_kind = api::encode_request({1, {.kind = api::QueryKind::kStats}});
+  unknown_kind.back() = 99;  // the query-kind byte
+  malformed.emplace_back("request of query kind 99", unknown_kind);
+
+  std::uint64_t expected_errors = 0;
+  for (const auto& [name, frame] : malformed) {
+    SCOPED_TRACE(name);
+    auto conn = harness.listener->connect();
+    FrameBuffer frames;
+    if (api::peek_frame_type(frame) != api::FrameType::kHello) {
+      (void)hello(*conn, frames, "sesame");
+    }
+    ASSERT_TRUE(conn->write_all(frame));
+    (void)expect_fatal_bad_request(*conn, frames);
+    EXPECT_EQ(harness.server.stats().protocol_errors, ++expected_errors);
+  }
+  EXPECT_EQ(harness.server.stats().auth_failures, 0u);
+  auto client = harness.client({.token = "sesame"});
+  EXPECT_TRUE(client.query({.kind = api::QueryKind::kStats}).stats.has_value());
 }
 
 TEST(NetProtocol, ArtifactFrameTypesAreRejectedAsClientInput) {
   Harness harness;
   auto conn = harness.listener->connect();
-  ASSERT_TRUE(conn->write_all(api::encode_hello({api::kProtocolVersion, ""})));
   FrameBuffer frames;
-  EXPECT_EQ(api::peek_frame_type(next_frame(*conn, frames)), api::FrameType::kWelcome);
+  (void)hello(*conn, frames);
 
   // A structurally valid frame of a type clients must not send.
   ASSERT_TRUE(conn->write_all(api::encode_delta_batch({0, {}})));
@@ -685,16 +773,32 @@ TEST(NetProtocol, NonPollableConnectionIsClosedAtAcceptWithoutTakingASlot) {
 }
 
 TEST(NetProtocol, ConnectionLimitTurnsExtraClientsAway) {
-  Harness harness({.max_connections = 1});
+  Harness harness({.max_connections = 1, .busy_retry_after_ms = 400});
   auto first = harness.client();
   EXPECT_EQ(first.welcome().protocol, api::kProtocolVersion);
+
+  // The over-limit opener gets one connection-level kBusy carrying the
+  // retry hint, then EOF.
+  auto conn = harness.listener->connect();
+  ASSERT_TRUE(conn->write_all(api::encode_hello({api::kProtocolVersion, ""})));
+  FrameBuffer frames;
+  const auto frame = next_frame(*conn, frames);
+  ASSERT_FALSE(frame.empty());
+  ASSERT_EQ(api::peek_frame_type(frame), api::FrameType::kBusy);
+  const auto busy = api::decode_busy(frame);
+  EXPECT_EQ(busy.request_id, 0u) << "admission rejects are connection-level";
+  EXPECT_EQ(busy.retry_after_ms, 400u);
+  EXPECT_TRUE(next_frame(*conn, frames).empty());
+
+  // net::Client surfaces the same shed as a BusyError.
   try {
     auto second = harness.client();
-    FAIL() << "second connection must be rejected";
-  } catch (const ProtocolError& e) {
-    EXPECT_EQ(e.error().code, api::ErrorCode::kServerBusy);
+    FAIL() << "second client must be rejected";
+  } catch (const BusyError& e) {
+    EXPECT_EQ(e.retry_after_ms(), 400u);
   }
-  EXPECT_EQ(harness.server.stats().connections_rejected, 1u);
+  EXPECT_EQ(harness.server.stats().connections_rejected, 2u);
+  EXPECT_EQ(harness.server.stats().busy_rejections, 2u);
 
   // Closing the first connection frees the slot.
   first.close();
@@ -702,7 +806,7 @@ TEST(NetProtocol, ConnectionLimitTurnsExtraClientsAway) {
     try {
       auto retry = harness.client();
       return true;
-    } catch (const ProtocolError&) {
+    } catch (const BusyError&) {
       return false;
     }
   }));
@@ -722,58 +826,26 @@ TEST(NetProtocol, ServerStopEndsOpenConnections) {
   }));
 }
 
-// --------------------------------------------- v2 feature negotiation --
+// ------------------------------------------------ welcome and keepalive --
 
-/// Completes a kHello2 handshake on a raw connection, requesting `features`.
-api::Welcome2Frame hello2(Connection& conn, FrameBuffer& frames,
-                          std::uint64_t features = api::kAllFeatures) {
-  EXPECT_TRUE(conn.write_all(api::encode_hello2({api::kProtocolVersion, "", features})));
-  return api::decode_welcome2(next_frame(conn, frames));
-}
-
-TEST(NetProtocol, Hello2GrantsTheIntersectionOfRequestedAndKnownFeatures) {
+TEST(NetProtocol, WelcomeReportsTheReplayHorizon) {
   Harness harness;
+  // Nothing published yet: no horizon, which must differ from horizon 0.
+  EXPECT_FALSE(harness.client().welcome().replay_horizon.has_value());
   harness.flip_epochs();
-  auto conn = harness.listener->connect();
-  FrameBuffer frames;
-  // Request keepalive plus a bit this server has never heard of: the grant
-  // must be the intersection — future clients degrade instead of failing.
-  const auto welcome =
-      hello2(*conn, frames, api::kFeatureKeepalive | (std::uint64_t{1} << 40));
+  const auto welcome = harness.client().welcome();
   EXPECT_EQ(welcome.protocol, api::kProtocolVersion);
   EXPECT_EQ(welcome.epoch, 1u);
-  EXPECT_EQ(welcome.features, api::kFeatureKeepalive);
   // Two epochs published, default retention: the advisory horizon is 0.
   ASSERT_TRUE(welcome.replay_horizon.has_value());
   EXPECT_EQ(*welcome.replay_horizon, 0u);
-}
-
-TEST(NetProtocol, Hello2BeforeAnyPublishReportsNoReplayHorizon) {
-  Harness harness;
-  auto conn = harness.listener->connect();
-  FrameBuffer frames;
-  EXPECT_FALSE(hello2(*conn, frames).replay_horizon.has_value());
-}
-
-TEST(NetProtocol, Hello2WithStaleProtocolVersionIsRefusedByName) {
-  // The version gate must bite before feature negotiation — same exact-match
-  // rule, same error message, as the legacy hello.
-  Harness harness;
-  auto conn = harness.listener->connect();
-  ASSERT_TRUE(conn->write_all(api::encode_hello2(
-      {static_cast<std::uint8_t>(api::kProtocolVersion + 1), "", api::kAllFeatures})));
-  FrameBuffer frames;
-  const auto error = api::decode_error(next_frame(*conn, frames));
-  EXPECT_EQ(error.code, api::ErrorCode::kBadRequest);
-  EXPECT_NE(error.message.find("unsupported protocol version"), std::string::npos);
-  EXPECT_TRUE(next_frame(*conn, frames).empty());
 }
 
 TEST(NetProtocol, PingIsAnsweredWithPongEchoingTheNonce) {
   Harness harness;
   auto conn = harness.listener->connect();
   FrameBuffer frames;
-  (void)hello2(*conn, frames);
+  (void)hello(*conn, frames);
   ASSERT_TRUE(conn->write_all(api::encode_ping({0xDEADBEEF})));
   const auto reply = next_frame(*conn, frames);
   ASSERT_FALSE(reply.empty());
@@ -790,7 +862,7 @@ TEST(NetProtocol, ReadingResumesAfterABacklogOfFramesThatNeedNoReply) {
   Harness harness;
   auto conn = harness.listener->connect();
   FrameBuffer frames;
-  (void)hello2(*conn, frames);
+  (void)hello(*conn, frames);
   std::vector<std::uint8_t> all;
   for (std::uint64_t nonce = 0; nonce < 50000; ++nonce) {
     const auto pong = api::encode_ping({nonce}, api::FrameType::kPong);
@@ -809,19 +881,49 @@ TEST(NetProtocol, ReadingResumesAfterABacklogOfFramesThatNeedNoReply) {
   EXPECT_EQ(api::decode_response(reply).request_id, 1u);
 }
 
-TEST(NetProtocol, PingFromALegacyConnectionIsRejectedLikeAnyReservedType) {
-  // A legacy hello never negotiated the keepalive frames, so a kPing from it
-  // is exactly as unexpected as a server-only artifact type: error + close.
-  Harness harness;
+TEST(NetProtocol, SilentPeerIsProbedThenTornDownAfterTheKeepaliveTimeout) {
+  // Keepalive applies to every connection once its handshake is done. A
+  // peer that then sends nothing, not even the pong, is probed once and
+  // reaped when the timeout passes, which frees its slot.
+  Harness harness(
+      {.max_connections = 1, .keepalive_interval_ms = 50, .keepalive_timeout_ms = 100});
   auto conn = harness.listener->connect();
-  ASSERT_TRUE(conn->write_all(api::encode_hello({api::kProtocolVersion, ""})));
+  conn->set_read_timeout(5s);  // a missing probe fails the test, not hangs it
   FrameBuffer frames;
-  EXPECT_EQ(api::peek_frame_type(next_frame(*conn, frames)), api::FrameType::kWelcome);
-  ASSERT_TRUE(conn->write_all(api::encode_ping({7})));
-  const auto error = api::decode_error(next_frame(*conn, frames));
-  EXPECT_EQ(error.code, api::ErrorCode::kBadRequest);
-  EXPECT_NE(error.message.find("unexpected frame type"), std::string::npos);
-  EXPECT_TRUE(next_frame(*conn, frames).empty());
+  (void)hello(*conn, frames);
+  const auto probe = next_frame(*conn, frames);
+  ASSERT_FALSE(probe.empty());
+  EXPECT_EQ(api::peek_frame_type(probe), api::FrameType::kPing);
+  EXPECT_TRUE(next_frame(*conn, frames).empty()) << "a silent peer must be torn down";
+  EXPECT_TRUE(eventually([&] { return harness.server.connection_count() == 0; }));
+  EXPECT_EQ(harness.server.stats().keepalive_probes, 1u);
+  EXPECT_EQ(harness.server.stats().keepalive_disconnects, 1u);
+
+  // max_connections is 1: a leaked slot would turn this client away busy.
+  auto client = harness.client();
+  EXPECT_TRUE(client.query({.kind = api::QueryKind::kStats}).stats.has_value());
+}
+
+TEST(NetProtocol, ClientBlockedInNextEventAnswersKeepaliveProbes) {
+  // net::Client answers every kPing while it reads, so a subscriber waiting
+  // out a quiet feed across many probe intervals stays connected and gets
+  // the next published event.
+  Harness harness({.keepalive_interval_ms = 25, .keepalive_timeout_ms = 250});
+  auto client = harness.client();
+  (void)client.subscribe({});
+  EXPECT_TRUE(eventually([&] { return harness.service.subscription_count() == 1; }));
+
+  std::jthread publisher([&] {  // joins even when next_event() throws
+    std::this_thread::sleep_for(800ms);
+    harness.flip_epochs();
+  });
+  const auto event = client.next_event();
+  publisher.join();
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(event->delta.epoch, 0u);
+  EXPECT_GE(harness.server.stats().keepalive_probes, 2u);
+  EXPECT_EQ(harness.server.stats().keepalive_disconnects, 0u);
+  EXPECT_EQ(harness.server.connection_count(), 1u);
 }
 
 // ------------------------------------------------- overload shedding --
@@ -832,7 +934,7 @@ TEST(NetProtocol, RateLimitedRequestIsShedAsBusyWithARetryHint) {
   (void)harness.service.ingest({tuple(10, 20, true)});
   auto conn = harness.listener->connect();
   FrameBuffer frames;
-  (void)hello2(*conn, frames);
+  (void)hello(*conn, frames);
 
   // The bucket holds exactly one token: the first request is answered, the
   // immediate second is shed — structurally, with the retry-after hint and
@@ -853,43 +955,6 @@ TEST(NetProtocol, RateLimitedRequestIsShedAsBusyWithARetryHint) {
   EXPECT_EQ(api::peek_frame_type(next_frame(*conn, frames)), api::FrameType::kPong);
 }
 
-TEST(NetProtocol, RateLimitedRequestIsShedAsServerBusyForLegacyPeers) {
-  Harness harness({.max_requests_per_sec = 1, .request_burst = 1});
-  auto conn = harness.listener->connect();
-  ASSERT_TRUE(conn->write_all(api::encode_hello({api::kProtocolVersion, ""})));
-  FrameBuffer frames;
-  EXPECT_EQ(api::peek_frame_type(next_frame(*conn, frames)), api::FrameType::kWelcome);
-
-  ASSERT_TRUE(conn->write_all(api::encode_request({1, {.kind = api::QueryKind::kStats}})));
-  ASSERT_TRUE(conn->write_all(api::encode_request({2, {.kind = api::QueryKind::kStats}})));
-  EXPECT_EQ(api::decode_response(next_frame(*conn, frames)).request_id, 1u);
-  const auto error = api::decode_error(next_frame(*conn, frames));
-  EXPECT_EQ(error.code, api::ErrorCode::kServerBusy);
-  EXPECT_EQ(error.request_id, 2u);
-
-  // Still request-scoped: a third over-budget request gets another error
-  // frame back, not EOF — the connection was never closed.
-  ASSERT_TRUE(conn->write_all(api::encode_request({3, {.kind = api::QueryKind::kStats}})));
-  EXPECT_EQ(api::decode_error(next_frame(*conn, frames)).request_id, 3u);
-}
-
-TEST(NetProtocol, ConnectionLimitTurnsHello2OpenersAwayWithBusy) {
-  Harness harness({.max_connections = 1, .busy_retry_after_ms = 400});
-  auto first = harness.client();
-  auto conn = harness.listener->connect();
-  ASSERT_TRUE(conn->write_all(
-      api::encode_hello2({api::kProtocolVersion, "", api::kAllFeatures})));
-  FrameBuffer frames;
-  const auto frame = next_frame(*conn, frames);
-  ASSERT_FALSE(frame.empty());
-  ASSERT_EQ(api::peek_frame_type(frame), api::FrameType::kBusy);
-  const auto busy = api::decode_busy(frame);
-  EXPECT_EQ(busy.request_id, 0u) << "admission rejects are connection-level";
-  EXPECT_EQ(busy.retry_after_ms, 400u);
-  EXPECT_TRUE(next_frame(*conn, frames).empty());
-  EXPECT_EQ(harness.server.stats().busy_rejections, 1u);
-}
-
 // ---------------------------------------------------- resume coverage --
 
 TEST(NetProtocol, ResumeAckConfirmsCoverageWhenTheLogStillHoldsTheEpoch) {
@@ -897,7 +962,7 @@ TEST(NetProtocol, ResumeAckConfirmsCoverageWhenTheLogStillHoldsTheEpoch) {
   harness.flip_epochs();  // epochs 0 and 1 retained
   auto conn = harness.listener->connect();
   FrameBuffer frames;
-  (void)hello2(*conn, frames);
+  (void)hello(*conn, frames);
   ASSERT_TRUE(conn->write_all(api::encode_subscribe({1, {}, 0})));
 
   // Replayed events are enqueued ahead of the ack (see the server's
@@ -909,8 +974,7 @@ TEST(NetProtocol, ResumeAckConfirmsCoverageWhenTheLogStillHoldsTheEpoch) {
   }
   const auto ack = api::decode_subscribed(next_frame(*conn, frames));
   EXPECT_EQ(ack.request_id, 1u);
-  ASSERT_TRUE(ack.replay_complete.has_value());
-  EXPECT_TRUE(*ack.replay_complete);
+  EXPECT_TRUE(ack.replay_complete);
 }
 
 TEST(NetProtocol, ResumeAckFlagsAMissedHorizonAtomicallyWithTheReplay) {
@@ -930,7 +994,7 @@ TEST(NetProtocol, ResumeAckFlagsAMissedHorizonAtomicallyWithTheReplay) {
 
   auto conn = listener->connect();
   FrameBuffer frames;
-  const auto welcome = hello2(*conn, frames);
+  const auto welcome = hello(*conn, frames);
   ASSERT_TRUE(welcome.replay_horizon.has_value());
   EXPECT_EQ(*welcome.replay_horizon, 2u);
 
@@ -941,27 +1005,8 @@ TEST(NetProtocol, ResumeAckFlagsAMissedHorizonAtomicallyWithTheReplay) {
     EXPECT_EQ(api::decode_event(frame).delta.epoch, e) << "lossy tail starts at the horizon";
   }
   const auto ack = api::decode_subscribed(next_frame(*conn, frames));
-  ASSERT_TRUE(ack.replay_complete.has_value());
-  EXPECT_FALSE(*ack.replay_complete) << "the log no longer covered epoch 0";
+  EXPECT_FALSE(ack.replay_complete) << "the log no longer covered epoch 0";
   server.stop();
-}
-
-TEST(NetProtocol, LegacyResumeAckCarriesNoCoverageByte) {
-  // Additivity both ways: a legacy subscriber's ack must decode to exactly
-  // the pre-v2 layout — no trailing replay_complete byte at all.
-  Harness harness;
-  harness.flip_epochs();
-  auto conn = harness.listener->connect();
-  ASSERT_TRUE(conn->write_all(api::encode_hello({api::kProtocolVersion, ""})));
-  FrameBuffer frames;
-  EXPECT_EQ(api::peek_frame_type(next_frame(*conn, frames)), api::FrameType::kWelcome);
-  ASSERT_TRUE(conn->write_all(api::encode_subscribe({1, {}, 0})));
-  for (stream::Epoch e = 0; e <= 1; ++e) {
-    EXPECT_EQ(api::decode_event(next_frame(*conn, frames)).delta.epoch, e);
-  }
-  const auto ack = api::decode_subscribed(next_frame(*conn, frames));
-  EXPECT_EQ(ack.subscription_id, 1u);
-  EXPECT_FALSE(ack.replay_complete.has_value());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // net::ResilientClient unit suite: backoff determinism, reconnect with a
 // bounded attempt budget, retry-across-disconnect queries, busy-shed
-// deferral, the sticky legacy-handshake downgrade, resume-from-epoch after a
-// dropped link, the horizon-miss snapshot re-sync, and client-side
-// keepalive. Everything runs over the in-process loopback transport with
-// injected sleep hooks — no ports, no wall-clock backoff waits.
+// deferral, permanent handshake refusals, resume-from-epoch after a dropped
+// link, the horizon-miss snapshot re-sync, and client-side keepalive.
+// Everything runs over the in-process loopback transport with injected
+// sleep hooks — no ports, no wall-clock backoff waits.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -163,8 +163,7 @@ TEST(ResilientClient, RefusedDialsBackOffUntilTheListenerAnswers) {
   EXPECT_EQ(client.stats().reconnects, 0u);
   ASSERT_EQ(sleeps.size(), 2u) << "one backoff sleep per failed dial";
   for (const auto d : sleeps) EXPECT_GE(d, 100ms);
-  // The v2 handshake negotiated every feature against our own server.
-  EXPECT_EQ(client.welcome().features, api::kAllFeatures);
+  EXPECT_EQ(client.welcome().protocol, api::kProtocolVersion);
 }
 
 TEST(ResilientClient, AttemptBudgetExhaustionThrowsRetriesExhausted) {
@@ -185,8 +184,7 @@ TEST(ResilientClient, QueryRetriesOnAFreshConnectionWhenTheLinkDiesMidRequest) {
   // The first connection survives exactly the handshake plus 4 bytes: the
   // query request is torn mid-frame and the link drops, like a TCP session
   // dying under a client.
-  const auto hello_bytes =
-      api::encode_hello2({api::kProtocolVersion, "", api::kAllFeatures}).size();
+  const auto hello_bytes = api::encode_hello({api::kProtocolVersion, ""}).size();
   std::size_t dials = 0;
   ResilientConfig config;
   config.sleep_fn = [](std::chrono::milliseconds) {};
@@ -229,46 +227,37 @@ TEST(ResilientClient, CloseMakesTheClientInert) {
   EXPECT_THROW((void)client.query({.kind = api::QueryKind::kStats}), TransportError);
 }
 
-// --------------------------------------------------- legacy downgrade --
+// -------------------------------------------------- handshake refusal --
 
-TEST(ResilientClient, DowngradesStickilyWhenThePeerRejectsHello2) {
-  // Scripted v1 server: it rejects the unknown kHello2 frame type outright
-  // (kBadRequest, *not* a version complaint), then welcomes the legacy
-  // hello the client falls back to.
+TEST(ResilientClient, HandshakeRefusalIsPermanentWithNoRedial) {
+  // Scripted peer of another protocol version: it refuses the hello by
+  // name. There is no older handshake to fall back to, so the refusal
+  // surfaces as a ProtocolError after one dial.
   auto listener = std::make_shared<LoopbackListener>();
-  std::thread old_server([&] {
+  std::jthread other_server([&] {  // joins even when the client throws
     FrameBuffer frames;
-    auto first = listener->accept();
-    ASSERT_NE(first, nullptr);
-    (void)next_frame(*first, frames);
-    (void)first->write_all(api::encode_error(
-        {0, api::ErrorCode::kBadRequest, "unexpected frame type 15 from client"}));
-    first->close();
-
-    frames = FrameBuffer();
-    auto second = listener->accept();
-    ASSERT_NE(second, nullptr);
-    const auto hello = next_frame(*second, frames);
-    ASSERT_FALSE(hello.empty());
-    EXPECT_EQ(api::peek_frame_type(hello), api::FrameType::kHello)
-        << "the retry must use the legacy handshake";
-    (void)second->write_all(api::encode_welcome({api::kProtocolVersion, 0}));
-    const auto subscribe = api::decode_subscribe(next_frame(*second, frames));
-    (void)second->write_all(api::encode_subscribed({subscribe.request_id, 1}));
-    (void)next_frame(*second, frames);  // hold the link until the client closes
+    auto conn = listener->accept();
+    ASSERT_NE(conn, nullptr);
+    (void)next_frame(*conn, frames);
+    (void)conn->write_all(api::encode_error(
+        {0, api::ErrorCode::kBadRequest, "unsupported protocol version 3"}));
+    conn->close();
   });
 
   ResilientConfig config;
   config.max_connect_attempts = 5;
+  config.handshake_timeout_ms = 200;  // a wrongful redial fails fast, not hangs
   config.sleep_fn = [](std::chrono::milliseconds) {};
   ResilientClient client([&] { return listener->connect(); }, std::move(config));
-  client.subscribe({});
-  EXPECT_EQ(client.stats().legacy_downgrades, 1u);
-  EXPECT_EQ(client.stats().connects, 1u) << "the downgrade redial is not a reconnect";
-  EXPECT_EQ(client.welcome().features, 0u);
-  EXPECT_FALSE(client.welcome().replay_horizon.has_value());
-  client.close();
-  old_server.join();
+  try {
+    (void)client.query({.kind = api::QueryKind::kStats});
+    FAIL() << "a refused handshake must throw";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.error().code, api::ErrorCode::kBadRequest);
+  }
+  other_server.join();
+  EXPECT_EQ(client.stats().connect_attempts, 1u);
+  EXPECT_EQ(client.stats().connects, 0u);
 }
 
 // ------------------------------------------------------------ resume --

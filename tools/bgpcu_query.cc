@@ -92,8 +92,6 @@ const char* frame_type_name(api::FrameType type) {
     case api::FrameType::kDeltaBatch: return "delta-batch";
     case api::FrameType::kQueryRequest: return "query-request";
     case api::FrameType::kQueryResponse: return "query-response";
-    case api::FrameType::kHello: return "hello";
-    case api::FrameType::kWelcome: return "welcome";
     case api::FrameType::kError: return "error";
     case api::FrameType::kSubscribe: return "subscribe";
     case api::FrameType::kSubscribed: return "subscribed";
@@ -102,8 +100,8 @@ const char* frame_type_name(api::FrameType type) {
     case api::FrameType::kResponse: return "response";
     case api::FrameType::kUnsubscribe: return "unsubscribe";
     case api::FrameType::kUnsubscribed: return "unsubscribed";
-    case api::FrameType::kHello2: return "hello2";
-    case api::FrameType::kWelcome2: return "welcome2";
+    case api::FrameType::kHello: return "hello";
+    case api::FrameType::kWelcome: return "welcome";
     case api::FrameType::kPing: return "ping";
     case api::FrameType::kPong: return "pong";
     case api::FrameType::kBusy: return "busy";

@@ -24,7 +24,7 @@
 //                      loops (default 1; 0 dispatches inline on the loop)
 //
 // Overload-protection options (docs/RELIABILITY.md):
-//   --keepalive MS     probe idle negotiated connections with kPing every MS
+//   --keepalive MS     probe idle connections with kPing every MS
 //                      (default 15000; 0 disables probing)
 //   --max-rps N        per-connection request admission rate; over-budget
 //                      requests are shed with busy/retry-after (default 0 =

@@ -9,15 +9,8 @@
 // work parallel). On a single-core container the sharded run can only
 // recover the contention overhead, not parallelize — the printed
 // hardware_concurrency line gives the context for the recorded ratio.
-// With --metrics-overhead [--out FILE], instead runs the observability
-// overhead check: the same churn-shaped ingest with the obs instrumentation
-// enabled vs. disabled (obs::set_enabled), recording both rates and the
-// relative delta as JSON (FILE defaults to BENCH_obs.json). The CI gate
-// keeps the relaxed-atomic hot-path instrumentation honest.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -25,7 +18,6 @@
 #include <vector>
 
 #include "common.h"
-#include "obs/metrics.h"
 #include "sim/churn.h"
 #include "stream/engine.h"
 
@@ -96,83 +88,13 @@ std::vector<core::Dataset> make_chunks(std::uint64_t& total_tuples) {
   return chunks;
 }
 
-/// --metrics-overhead: ingest rate with the obs hot-path instrumentation on
-/// vs. off. The delta is what every counter bump and stage timer costs; the
-/// CI gate fails the build if it creeps past a few percent.
-int run_metrics_overhead(const std::string& out_path) {
-  bench::print_banner("Observability overhead — ingest with metrics on vs. off",
-                      "engineering (obs subsystem)");
-  std::uint64_t total_tuples = 0;
-  const auto chunks = make_chunks(total_tuples);
-  std::cout << "input: " << total_tuples << " tuples in " << chunks.size()
-            << " ingest chunks (4 shards, 4 threads)\n";
-
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kThreads = 4;
-  std::vector<std::vector<core::Dataset>> per_thread(kThreads);
-  for (std::size_t d = 0; d < chunks.size(); ++d) {
-    per_thread[d % kThreads].push_back(chunks[d]);
-  }
-
-  // Interleave enabled/disabled reps so thermal or scheduler drift hits both
-  // sides equally; keep the best of each.
-  RunResult best_on, best_off;
-  for (int rep = 0; rep < 3; ++rep) {
-    obs::set_enabled(true);
-    const auto on = run_ingest(per_thread, kShards);
-    if (on.tuples_per_sec > best_on.tuples_per_sec) best_on = on;
-    obs::set_enabled(false);
-    const auto off = run_ingest(per_thread, kShards);
-    if (off.tuples_per_sec > best_off.tuples_per_sec) best_off = off;
-  }
-  obs::set_enabled(true);
-
-  const double overhead_pct =
-      best_off.tuples_per_sec > 0
-          ? (best_off.tuples_per_sec - best_on.tuples_per_sec) / best_off.tuples_per_sec * 100.0
-          : 0.0;
-  std::cout << "metrics_on  " << fmt(best_on.tuples_per_sec) << " tuples/sec\n"
-            << "metrics_off " << fmt(best_off.tuples_per_sec) << " tuples/sec\n";
-  char pct[32];
-  std::snprintf(pct, sizeof pct, "%.2f", overhead_pct);
-  std::cout << "overhead " << pct << "%\n";
-
-  char json[512];
-  std::snprintf(json, sizeof json,
-                "{\"bench\":\"stream_ingest_metrics_overhead\",\"tuples\":%llu,"
-                "\"shards\":%zu,\"threads\":%zu,"
-                "\"metrics_on_tuples_per_sec\":%.0f,"
-                "\"metrics_off_tuples_per_sec\":%.0f,"
-                "\"overhead_pct\":%.2f}\n",
-                static_cast<unsigned long long>(total_tuples), kShards, kThreads,
-                best_on.tuples_per_sec, best_off.tuples_per_sec, overhead_pct);
-  std::ofstream out(out_path, std::ios::trunc);
-  out << json;
-  out.flush();
-  if (!out) {
-    std::cerr << "error: cannot write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "recorded " << out_path << "\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool overhead_mode = false;
-  std::string out_path = "BENCH_obs.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-overhead") == 0) {
-      overhead_mode = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--metrics-overhead [--out FILE]]\n";
-      return 2;
-    }
+  if (argc > 1) {
+    std::cerr << "usage: " << argv[0] << " (takes no arguments)\n";
+    return 2;
   }
-  if (overhead_mode) return run_metrics_overhead(out_path);
 
   bench::print_banner("Streaming ingest throughput — single-shard vs. sharded",
                       "engineering (stream subsystem)");

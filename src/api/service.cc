@@ -140,14 +140,13 @@ QueryResponse Service::query(const QueryRequest& request) const {
       stats.shards = engine_.config().shards;
       stats.window_epochs = engine_.config().window_epochs;
       stats.subscriptions = subscription_count();
-      const auto snap = engine_.snapshot_stats();
-      stats.snapshot_sweeps = snap.sweeps;
-      stats.snapshot_cache_hits = snap.cache_hits;
-      stats.index_deltas_applied = snap.deltas_applied;
-      stats.index_compactions = snap.group_compactions;
-      stats.index_rebuilds = snap.index_rebuilds;
-      stats.locked_ns_last = snap.locked_ns_last;
-      stats.locked_ns_total = snap.locked_ns_total;
+      stats.snapshot_sweeps = m.snapshot_sweeps.value();
+      stats.snapshot_cache_hits = m.snapshot_cache_hits.value();
+      stats.index_deltas_applied = m.index_deltas_applied.value();
+      stats.index_compactions = m.index_compactions.value();
+      stats.index_rebuilds = m.index_rebuilds.value();
+      stats.locked_ns_last = static_cast<std::uint64_t>(m.snapshot_locked_last_ns.value());
+      stats.locked_ns_total = m.snapshot_locked_ns.sum();
       response.stats = stats;
       break;
     }

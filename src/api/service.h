@@ -81,9 +81,10 @@ struct ServiceStats {
   std::uint64_t shards = 0;
   std::uint64_t window_epochs = 0;
   std::uint64_t subscriptions = 0;
-  // Snapshot-path health (see stream::SnapshotStats): how often the engine
-  // swept vs served the cache, how much incremental-index maintenance the
-  // sweeps cost, and the exclusive-lock (locked-phase) time they held.
+  // Snapshot-path health, read from the process's obs registry (not this
+  // service's engine alone): how often snapshots swept vs served the cache,
+  // how much incremental-index maintenance the sweeps cost, and the
+  // exclusive-lock (locked-phase) time they held.
   std::uint64_t snapshot_sweeps = 0;
   std::uint64_t snapshot_cache_hits = 0;
   std::uint64_t index_deltas_applied = 0;

@@ -156,11 +156,10 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
 
   void send_error(std::uint64_t request_id, api::ErrorCode code,
                   const std::string& message) {
-    // protocol_errors counts invalid client *input*; auth failures, busy
+    // net_protocol_errors counts invalid client *input*; auth failures, busy
     // rejections, and internal failures have their own accounting.
     if (code == api::ErrorCode::kBadRequest ||
         code == api::ErrorCode::kUnknownSubscription) {
-      server_.stats_.protocol_errors.fetch_add(1);
       obs::metrics().net_protocol_errors.add(1);
     }
     enqueue_frame(api::encode_error({request_id, code, message}));
@@ -185,7 +184,6 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
     }
     const auto hello = api::decode_hello(frame);
     if (!server_.config_.auth_token.empty() && hello.token != server_.config_.auth_token) {
-      server_.stats_.auth_failures.fetch_add(1);
       obs::metrics().net_auth_failures.add(1);
       send_error(0, api::ErrorCode::kAuthFailed, "bad auth token");
       return false;
@@ -217,7 +215,6 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
   /// kBusy with a retry-after hint. Non-fatal — the connection (and its
   /// subscriptions) live on.
   void shed_request(std::uint64_t request_id) {
-    server_.stats_.requests_shed.fetch_add(1);
     obs::metrics().net_requests_shed.add(1);
     enqueue_frame(api::encode_busy(
         {request_id, server_.config_.busy_retry_after_ms, "request rate limit exceeded"}));
@@ -232,7 +229,6 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
     if (reject_) {
       // The client's opening frame has now been consumed, so the shed can
       // reach it without a reset racing the close.
-      server_.stats_.busy_rejections.fetch_add(1);
       obs::metrics().net_busy_rejections.add(1);
       enqueue_frame(api::encode_busy(
           {0, server_.config_.busy_retry_after_ms, "connection limit reached"}));
@@ -242,7 +238,6 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
     switch (type) {
       case api::FrameType::kPing: {
         const auto ping = api::decode_ping(frame);
-        server_.stats_.pings_received.fetch_add(1);
         obs::metrics().net_pings_received.add(1);
         enqueue_frame(api::encode_ping(ping, api::FrameType::kPong));
         return true;
@@ -742,7 +737,6 @@ void Server::EventConn::enqueue(OutFrame frame) {
     }
   }
   if (overflow) {
-    server_.stats_.slow_disconnects.fetch_add(1);
     obs::metrics().net_slow_disconnects.add(1);
     abort_connection();
   } else if (!flush_pending_.exchange(true)) {
@@ -794,7 +788,6 @@ void Server::EventConn::handle_readable(IoLoop& loop) {
     try {
       frames_.append(std::span(read_chunk_.data(), n));
       for (auto frame = frames_.extract(); !frame.empty(); frame = frames_.extract()) {
-        server_.stats_.frames_received.fetch_add(1);
         obs::metrics().net_frames_received.add(1);
         items.push_back({std::move(frame), false, {}});
       }
@@ -938,7 +931,6 @@ void Server::EventConn::flush(IoLoop& loop) {
     inflight_off_ += n;
     m.net_bytes_out.add(n);
     if (inflight_off_ == total) {
-      server_.stats_.frames_sent.fetch_add(1);
       m.net_frames_sent.add(1);
       ++frames_flushed;
       inflight_.reset();
@@ -1028,7 +1020,6 @@ void Server::EventConn::keepalive_check(std::uint64_t now) {
       return;
     }
     if (now - ping_sent_ms_ >= server_.config_.keepalive_timeout_ms) {
-      server_.stats_.keepalive_disconnects.fetch_add(1);
       obs::metrics().net_keepalive_disconnects.add(1);
       abort_connection();
     }
@@ -1037,7 +1028,6 @@ void Server::EventConn::keepalive_check(std::uint64_t now) {
   if (now - last_rx < server_.config_.keepalive_interval_ms) return;
   ping_outstanding_ = true;
   ping_sent_ms_ = now;
-  server_.stats_.keepalive_probes.fetch_add(1);
   obs::metrics().net_keepalive_probes.add(1);
   // The probe goes through the queue: the loop owns the socket and a flush
   // is its only writer.
@@ -1096,7 +1086,6 @@ void Server::accept_loop() {
     const auto live = connection_count();
     const bool reject = live >= config_.max_connections;
     if (reject) {
-      stats_.connections_rejected.fetch_add(1);
       obs::metrics().net_connections_rejected.add(1);
       // Graceful rejection (read the hello, answer kBusy) costs live
       // connection state for up to hello_timeout_ms. Under a connection
@@ -1111,7 +1100,6 @@ void Server::accept_loop() {
         continue;
       }
     } else {
-      stats_.connections_accepted.fetch_add(1);
       obs::metrics().net_connections_accepted.add(1);
     }
     // Rejected connections (within the margin) are served like any other —
@@ -1150,23 +1138,6 @@ void Server::stop() {
       conn->release_subscriptions();
     }
   }
-}
-
-ServerStats Server::stats() const {
-  ServerStats out;
-  out.connections_accepted = stats_.connections_accepted.load();
-  out.connections_rejected = stats_.connections_rejected.load();
-  out.auth_failures = stats_.auth_failures.load();
-  out.frames_received = stats_.frames_received.load();
-  out.frames_sent = stats_.frames_sent.load();
-  out.protocol_errors = stats_.protocol_errors.load();
-  out.slow_disconnects = stats_.slow_disconnects.load();
-  out.pings_received = stats_.pings_received.load();
-  out.keepalive_probes = stats_.keepalive_probes.load();
-  out.keepalive_disconnects = stats_.keepalive_disconnects.load();
-  out.requests_shed = stats_.requests_shed.load();
-  out.busy_rejections = stats_.busy_rejections.load();
-  return out;
 }
 
 std::size_t Server::connection_count() const {

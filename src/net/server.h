@@ -16,9 +16,9 @@
 // every matching subscriber's write queue references — fan-out costs one
 // encode, not one per peer. Write queues are bounded in bytes
 // (write_queue_bytes_limit); a subscriber that overflows the bound is
-// disconnected (counted in ServerStats::slow_disconnects) instead of waited
-// for, so one stalled peer can never hold up publish(), ingest, or any
-// other connection. A connection whose transport cannot be polled
+// disconnected (counted in bgpcu_net_slow_disconnects_total) instead of
+// waited for, so one stalled peer can never hold up publish(), ingest, or
+// any other connection. A connection whose transport cannot be polled
 // (Connection::poll_info reports non-pollable) is closed at accept.
 #ifndef BGPCU_NET_SERVER_H
 #define BGPCU_NET_SERVER_H
@@ -46,12 +46,13 @@ struct ServerConfig {
   /// a modest cap bounds what an abusive peer can make the server buffer.
   std::size_t max_request_payload = std::size_t{1} << 20;
   /// Per-connection write queue cap, in bytes. Overflow means the consumer
-  /// is too slow to keep up: it is disconnected (slow_disconnects). Each
-  /// queued frame is charged its wire bytes plus a fixed per-frame cost
-  /// (its queue slot and buffer allocation), so a peer that pipelines
-  /// requests without reading the replies is bounded too, however small
-  /// the replies. The check is on bytes already queued, so one frame
-  /// larger than the limit still goes out when the queue is under the bound.
+  /// is too slow to keep up: it is disconnected (and counted in
+  /// bgpcu_net_slow_disconnects_total). Each queued frame is charged its
+  /// wire bytes plus a fixed per-frame cost (its queue slot and buffer
+  /// allocation), so a peer that pipelines requests without reading the
+  /// replies is bounded too, however small the replies. The check is on
+  /// bytes already queued, so one frame larger than the limit still goes
+  /// out when the queue is under the bound.
   std::size_t write_queue_bytes_limit = std::size_t{32} << 20;
   /// Deadline for the client's first frame, in milliseconds (0 disables).
   /// Bounds how long an idle connect — including one awaiting its busy
@@ -90,25 +91,8 @@ struct ServerConfig {
   PollerBackend poller_backend = default_poller_backend();
 };
 
-/// Monotonic counters, readable at any time (values are snapshots).
-struct ServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;  ///< Turned away by max_connections.
-  std::uint64_t auth_failures = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t frames_sent = 0;
-  /// kError frames sent for malformed or invalid client input (bad-request
-  /// and unknown-subscription); auth failures and busy rejections are
-  /// counted in their own fields only.
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t slow_disconnects = 0;   ///< Write-queue overflows.
-  std::uint64_t pings_received = 0;     ///< Client keepalive probes answered.
-  std::uint64_t keepalive_probes = 0;   ///< Server-initiated kPing probes.
-  std::uint64_t keepalive_disconnects = 0;  ///< Peers declared dead after a probe.
-  std::uint64_t requests_shed = 0;      ///< Rate-limited requests answered busy.
-  std::uint64_t busy_rejections = 0;    ///< Over-limit connections shed after their first frame.
-};
-
+/// Counts every event (connections, frames, errors, sheds, keepalive) only
+/// in the process-wide obs registry: the bgpcu_net_* families.
 class Server {
  public:
   /// The service must outlive the server. The listener is shared so tests
@@ -126,8 +110,6 @@ class Server {
   /// Closes the listener and every live connection, joins all threads.
   /// Idempotent; the destructor calls it.
   void stop();
-
-  [[nodiscard]] ServerStats stats() const;
 
   /// Live (not yet torn down) connections, including ones still on their
   /// way from the accept thread into an IO loop.
@@ -158,21 +140,6 @@ class Server {
   std::atomic<std::uint64_t> next_conn_id_{0};
   std::size_t next_loop_ = 0;  ///< Accept-thread only (round-robin).
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_rejected{0};
-    std::atomic<std::uint64_t> auth_failures{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> frames_sent{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> slow_disconnects{0};
-    std::atomic<std::uint64_t> pings_received{0};
-    std::atomic<std::uint64_t> keepalive_probes{0};
-    std::atomic<std::uint64_t> keepalive_disconnects{0};
-    std::atomic<std::uint64_t> requests_shed{0};
-    std::atomic<std::uint64_t> busy_rejections{0};
-  };
-  mutable AtomicStats stats_;
   /// Open-connection gauge, computed at scrape time. Declared last so it
   /// unregisters before loops_ is torn down.
   obs::ScopedCollector conns_collector_;

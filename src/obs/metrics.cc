@@ -8,8 +8,6 @@ namespace bgpcu::obs {
 
 namespace detail {
 
-std::atomic<bool> g_enabled{true};
-
 std::size_t thread_lane(std::size_t lanes) noexcept {
   static thread_local const std::size_t hashed =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
@@ -17,12 +15,6 @@ std::size_t thread_lane(std::size_t lanes) noexcept {
 }
 
 }  // namespace detail
-
-bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
 
 // --------------------------------------------------------- ScopedCollector --
 

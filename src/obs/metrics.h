@@ -40,15 +40,7 @@
 
 namespace bgpcu::obs {
 
-/// Global hot-path switch: when false, instrument updates are dropped at the
-/// call site (one relaxed load + branch). Exists so the ingest-overhead
-/// bench can measure instrumented vs. uninstrumented throughput in one
-/// binary; production leaves it on.
-[[nodiscard]] bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
-
 namespace detail {
-extern std::atomic<bool> g_enabled;
 /// Stable per-thread lane index in [0, lanes); cheap after first call.
 [[nodiscard]] std::size_t thread_lane(std::size_t lanes) noexcept;
 }  // namespace detail
@@ -64,7 +56,6 @@ class Counter {
   /// land on the same stripe.
   void add(std::uint64_t n = 1,
            std::size_t lane = std::numeric_limits<std::size_t>::max()) noexcept {
-    if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
     if (lane == std::numeric_limits<std::size_t>::max()) {
       lane = detail::thread_lane(kLanes);
     }
@@ -90,14 +81,10 @@ class Gauge {
  public:
   void set(std::int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
 
-  void add(std::int64_t n) noexcept {
-    if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void add(std::int64_t n) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
 
   /// Raises the gauge to `v` if larger (lifetime high-water mark).
   void max_of(std::int64_t v) noexcept {
-    if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
     auto cur = value_.load(std::memory_order_relaxed);
     while (v > cur &&
            !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
@@ -121,7 +108,6 @@ class Histogram {
   static constexpr std::size_t kBuckets = 40;  ///< le = 1, 2, 4, ... 2^38, +Inf.
 
   void observe(std::uint64_t v) noexcept {
-    if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
     buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);

@@ -65,6 +65,9 @@ Metrics& metrics() {
         .snapshot_locked_ns =
             r.histogram("bgpcu_snapshot_locked_duration_ns",
                         "Exclusive-lock (collect) time per cold snapshot, nanoseconds"),
+        .snapshot_locked_last_ns =
+            r.gauge("bgpcu_snapshot_locked_last_ns",
+                    "Exclusive-lock (collect) time of the latest cold snapshot, nanoseconds"),
         // index
         .index_deltas_applied = r.counter("bgpcu_index_deltas_applied_total",
                                           "Add/remove deltas patched into the index"),

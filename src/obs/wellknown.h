@@ -43,6 +43,7 @@ struct Metrics {
   Histogram& snapshot_stage_sweep_ns;
   Histogram& snapshot_stage_install_ns;
   Histogram& snapshot_locked_ns;
+  Gauge& snapshot_locked_last_ns;
 
   // --- incremental index maintenance ---
   Counter& index_deltas_applied;

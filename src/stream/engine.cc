@@ -45,7 +45,7 @@ StreamEngine::StreamEngine(StreamConfig config) : config_(config), index_(config
   // site ever has to intern (and take the registry mutex) while holding
   // engine_mutex_ — that ordering is what keeps scrape callbacks that take
   // the shared engine lock deadlock-free.
-  obs::metrics();
+  (void)obs::metrics();
   auto& registry = obs::Registry::global();
   live_tuples_collector_ = registry.add_collector(
       "bgpcu_stream_live_tuples", "Live unique tuples across all shards", {}, [this] {
@@ -138,7 +138,6 @@ void StreamEngine::apply_pending_deltas_locked(std::size_t live) const {
     index_.reset();
     deltas.clear();
     for (const auto& shard : shards_) shard->export_live(deltas);
-    ++snap_stats_.index_rebuilds;
     m.index_rebuilds.add(1);
   }
   const auto before = index_.stats();
@@ -148,9 +147,6 @@ void StreamEngine::apply_pending_deltas_locked(std::size_t live) const {
   const auto& after = index_.stats();
   const auto applied = (after.adds_applied - before.adds_applied) +
                        (after.removes_applied - before.removes_applied);
-  snap_stats_.deltas_applied += applied;
-  snap_stats_.group_compactions += after.group_compactions - before.group_compactions;
-  snap_stats_.index_rebuilds += after.full_rebuilds - before.full_rebuilds;
   if (applied != 0) m.index_deltas_applied.add(applied);
   if (const auto n = after.group_compactions - before.group_compactions) {
     m.index_compactions.add(n);
@@ -176,7 +172,6 @@ SnapshotPtr StreamEngine::snapshot() const {
     std::uint64_t version = 0;
     for (const auto& shard : shards_) version += shard->version();
     if (cached_ && cached_version_ == version) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       m.snapshot_cache_hits.add(1);
       return cached_;
     }
@@ -203,7 +198,6 @@ SnapshotPtr StreamEngine::snapshot() const {
       }
       stamp_span.stop();  // the cv wait below must not count as stamp time
       if (cached_ && cached_version_ == version) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
         m.snapshot_cache_hits.add(1);
         return cached_;
       }
@@ -238,10 +232,9 @@ SnapshotPtr StreamEngine::snapshot() const {
       snapshot_cv_.notify_all();
       throw;
     }
-    snap_stats_.locked_ns_last = elapsed_ns(locked_at);
-    snap_stats_.locked_ns_total += snap_stats_.locked_ns_last;
-    ++snap_stats_.sweeps;
-    m.snapshot_locked_ns.observe(snap_stats_.locked_ns_last);
+    const auto locked_ns = elapsed_ns(locked_at);
+    m.snapshot_locked_ns.observe(locked_ns);
+    m.snapshot_locked_last_ns.set(static_cast<std::int64_t>(locked_ns));
     m.snapshot_sweeps.add(1);
   }
 
@@ -366,13 +359,6 @@ std::size_t StreamEngine::live_tuples() const {
 
 std::uint64_t StreamEngine::evicted_total() const {
   return evicted_total_.load(std::memory_order_relaxed);
-}
-
-SnapshotStats StreamEngine::snapshot_stats() const {
-  const std::shared_lock lock(engine_mutex_);
-  SnapshotStats stats = snap_stats_;
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace bgpcu::stream

@@ -105,25 +105,6 @@ struct CheckpointState {
   std::vector<std::uint8_t> index_image;
 };
 
-/// Snapshot-path health counters (see StreamEngine::snapshot_stats). All
-/// monotone over the engine's lifetime except locked_ns_last.
-struct SnapshotStats {
-  std::uint64_t sweeps = 0;      ///< Cold snapshots (collected + swept).
-  std::uint64_t cache_hits = 0;  ///< Snapshots served from the cached result.
-  /// Add/remove deltas patched into the incremental index.
-  std::uint64_t deltas_applied = 0;
-  std::uint64_t group_compactions = 0;  ///< Lazy tombstone compactions.
-  /// Full index (re)builds: threshold-triggered id reassignments plus
-  /// journal-overflow / apply-failure rebuilds from shard state.
-  std::uint64_t index_rebuilds = 0;
-  /// Exclusive-lock (collect/apply) time of the most recent cold snapshot,
-  /// and the lifetime total — the engine's dominant critical section.
-  std::uint64_t locked_ns_last = 0;
-  std::uint64_t locked_ns_total = 0;
-
-  friend bool operator==(const SnapshotStats&, const SnapshotStats&) = default;
-};
-
 /// Incremental, sharded community-usage classification engine.
 ///
 /// Thread model: `ingest` and `live_counters` may run concurrently from any
@@ -149,7 +130,9 @@ class StreamEngine {
   /// Exact inference over the live tuple set as of this call's consistent
   /// cut. Returns the cached result (same shared object, no copy) when
   /// nothing changed since the previous snapshot; otherwise collects the cut
-  /// under the lock and sweeps outside it (see header note).
+  /// under the lock and sweeps outside it (see header note). Sweeps, cache
+  /// hits, index maintenance and locked-phase time are counted only in the
+  /// obs registry (the bgpcu_snapshot_* and bgpcu_index_* families).
   [[nodiscard]] SnapshotPtr snapshot() const;
 
   /// Real-time peer-column evidence for `asn` (no sweep; see header note).
@@ -160,10 +143,6 @@ class StreamEngine {
 
   /// Tuples evicted by window aging over the engine's lifetime.
   [[nodiscard]] std::uint64_t evicted_total() const;
-
-  /// Snapshot-path health: locked-phase time, cache hits, incremental-index
-  /// maintenance counts. Lock-light (shared lock, no sweep).
-  [[nodiscard]] SnapshotStats snapshot_stats() const;
 
   [[nodiscard]] const StreamConfig& config() const noexcept { return config_; }
 
@@ -224,10 +203,6 @@ class StreamEngine {
   /// Cleared when an apply failed mid-flight (index state unknown); the next
   /// snapshot rebuilds from the shards' authoritative state.
   mutable bool index_valid_ = true;
-  /// Guarded by engine_mutex_ (exclusive writes) except cache_hits, which
-  /// fast-path readers bump under the shared lock.
-  mutable SnapshotStats snap_stats_;
-  mutable std::atomic<std::uint64_t> cache_hits_{0};
   std::function<void()> after_collect_hook_;
   /// Scrape-time gauges (live tuples, epoch, index occupancy); registered in
   /// the constructor, summed across engines at scrape. Declared last so they

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/wellknown.h"
 #include "stream/delta.h"
 
 namespace bgpcu::api {
@@ -36,6 +37,63 @@ TEST(ServiceQuery, StatsReflectEngineState) {
   EXPECT_EQ(response.stats->epoch, 1u);
   EXPECT_EQ(response.stats->live_tuples, 2u);
   EXPECT_EQ(response.stats->subscriptions, 1u);
+}
+
+/// kStats's snapshot-path fields, checked against the obs registry read
+/// right after the query that produced them.
+ServiceStats expect_registry_view(const Service& service) {
+  const auto stats = *service.query({.kind = QueryKind::kStats}).stats;
+  const auto& m = obs::metrics();
+  EXPECT_EQ(stats.snapshot_sweeps, m.snapshot_sweeps.value());
+  EXPECT_EQ(stats.snapshot_cache_hits, m.snapshot_cache_hits.value());
+  EXPECT_EQ(stats.index_deltas_applied, m.index_deltas_applied.value());
+  EXPECT_EQ(stats.index_compactions, m.index_compactions.value());
+  EXPECT_EQ(stats.index_rebuilds, m.index_rebuilds.value());
+  EXPECT_EQ(stats.locked_ns_last,
+            static_cast<std::uint64_t>(m.snapshot_locked_last_ns.value()));
+  EXPECT_EQ(stats.locked_ns_total, m.snapshot_locked_ns.sum());
+  return stats;
+}
+
+TEST(ServiceQuery, StatsSnapshotFieldsAreARegistryView) {
+  // Shrunk index thresholds make the evicting epoch compact its groups and
+  // rebuild the index. Alone in its process, the script leaves the seven
+  // fields at 2 sweeps, 3 hits, 24 deltas, 4 compactions, 1 rebuild and two
+  // distinct lock times, so a field read from the wrong instrument shows.
+  ServiceConfig config;
+  config.stream.shards = 2;
+  config.stream.window_epochs = 1;
+  config.stream.index = {.compact_min_dead_rows = 2, .rebuild_min_dead_ids = 1};
+  Service service(config);
+  const auto before = expect_registry_view(service);
+
+  core::Dataset batch;
+  for (bgp::Asn peer = 10; peer < 16; ++peer) {
+    batch.push_back(tuple(peer, 20, peer % 2 == 0));
+    batch.push_back({.path = {peer, 30, 40}, .comms = {}});
+  }
+  const auto accepted = service.ingest(batch).accepted;
+  ASSERT_EQ(accepted, batch.size());
+
+  (void)service.query({.kind = QueryKind::kSnapshot});  // cold: sweep 1
+  const auto first = expect_registry_view(service);
+  for (const auto kind : {QueryKind::kClassOf, QueryKind::kSnapshot, QueryKind::kClassOf}) {
+    (void)service.query({.kind = kind, .asn = 10});  // unchanged engine: cache hit
+    (void)expect_registry_view(service);
+  }
+  (void)service.advance_epoch();  // window 1: evicts every tuple
+  (void)service.query({.kind = QueryKind::kSnapshot});  // cold: sweep 2
+  const auto after = expect_registry_view(service);
+
+  EXPECT_EQ(after.snapshot_sweeps - before.snapshot_sweeps, 2u);
+  EXPECT_EQ(after.snapshot_cache_hits - before.snapshot_cache_hits, 3u);
+  EXPECT_EQ(after.index_deltas_applied - before.index_deltas_applied, 2 * accepted)
+      << "every add, then every eviction";
+  EXPECT_GT(after.index_compactions, before.index_compactions);
+  EXPECT_GT(after.index_rebuilds, before.index_rebuilds);
+  EXPECT_EQ(after.locked_ns_total - before.locked_ns_total,
+            first.locked_ns_last + after.locked_ns_last)
+      << "two cold snapshots held the lock";
 }
 
 TEST(ServiceQuery, ClassOfMatchesSnapshot) {

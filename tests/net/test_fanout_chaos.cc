@@ -20,6 +20,7 @@
 
 #include "api/service.h"
 #include "api/wire.h"
+#include "counter_baseline.h"
 #include "net/fault.h"
 #include "net/framer.h"
 #include "net/loopback.h"
@@ -97,6 +98,7 @@ TEST(FanoutChaos, SurvivorsStayGapFreeWhileCutAndLazyPeersAreShed) {
                  .write_queue_bytes_limit = 8 * 1024,
                  .io_threads = 2,
                  .worker_threads = 2});
+  const CounterBaseline counted;
   server.start();
 
   std::vector<Sub> subs(kSubs);
@@ -223,7 +225,7 @@ TEST(FanoutChaos, SurvivorsStayGapFreeWhileCutAndLazyPeersAreShed) {
 
   // The lazy peers were shed by the byte bound, the cut peers died on their
   // faults, and neither leaked a slot or a subscription.
-  EXPECT_EQ(server.stats().slow_disconnects, kLazy);
+  EXPECT_EQ(counted(obs::metrics().net_slow_disconnects), kLazy);
   EXPECT_TRUE(eventually([&] { return service.subscription_count() == survivors; }))
       << "a dead peer stranded its subscription";
   EXPECT_TRUE(eventually([&] { return server.connection_count() == survivors; }))

@@ -21,6 +21,7 @@
 
 #include "api/service.h"
 #include "api/wire.h"
+#include "counter_baseline.h"
 #include "net/framer.h"
 #include "net/loopback.h"
 #include "net/poller.h"
@@ -73,6 +74,7 @@ TEST(FanoutSoak, ThousandMixedFilterSubscribersSeeExactGapFreeStreams) {
   auto listener = std::make_shared<LoopbackListener>();
   Server server(service, listener,
                 {.max_connections = kSubs + 8, .io_threads = 2, .worker_threads = 2});
+  const CounterBaseline counted;
   server.start();
 
   // Handshake + subscribe each connection up front (serially, blocking) so
@@ -211,7 +213,7 @@ TEST(FanoutSoak, ThousandMixedFilterSubscribersSeeExactGapFreeStreams) {
     }
   }
 
-  EXPECT_EQ(server.stats().slow_disconnects, 0u)
+  EXPECT_EQ(counted(obs::metrics().net_slow_disconnects), 0u)
       << "a continuously drained subscriber must never be shed";
   server.stop();
 }

@@ -17,6 +17,7 @@
 
 #include "api/service.h"
 #include "core/classifier.h"
+#include "counter_baseline.h"
 #include "net/client.h"
 #include "net/loopback.h"
 #include "net/server.h"
@@ -53,6 +54,7 @@ TEST(NetSoak, ConcurrentClientsSeeConsistentResponsesUnderChurn) {
 
   auto listener = std::make_shared<LoopbackListener>();
   Server server(service, listener);
+  const CounterBaseline counted;
   server.start();
 
   std::atomic<bool> driver_done{false};
@@ -169,7 +171,7 @@ TEST(NetSoak, ConcurrentClientsSeeConsistentResponsesUnderChurn) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(sweeps_started.load(), 0u) << "hook never fired: no sweep overlapped the soak";
-  EXPECT_EQ(server.stats().slow_disconnects, 0u);
+  EXPECT_EQ(counted(obs::metrics().net_slow_disconnects), 0u);
 }
 
 }  // namespace

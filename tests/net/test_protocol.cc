@@ -1,12 +1,12 @@
 // Protocol conformance suite, run entirely over the in-process loopback
 // transport — no ports, fully deterministic. Covers the acceptance list:
 // handshake + auth rejection, the refusal of protocol-v2 peers, query
-// request/response for every kind, pipelining, framing splits across
-// reads, malformed frames and malformed payloads of every client frame
-// type, subscription lifecycle (replay, unsubscribe, disconnect
-// mid-subscription), slow-subscriber backpressure, half-close, the
-// connection limit, keepalive probing, overload shedding, resume coverage,
-// and the refusal of connections that cannot be polled.
+// request/response for every kind, pipelining, exact frame counts, framing
+// splits across reads, malformed frames and malformed payloads of every
+// client frame type, subscription lifecycle (replay, unsubscribe,
+// disconnect mid-subscription), slow-subscriber backpressure, half-close,
+// the connection limit, keepalive probing, overload shedding, resume
+// coverage, and the refusal of connections that cannot be polled.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,6 +18,7 @@
 
 #include "api/service.h"
 #include "api/wire.h"
+#include "counter_baseline.h"
 #include "net/client.h"
 #include "net/framer.h"
 #include "net/loopback.h"
@@ -71,6 +72,8 @@ struct Harness {
     (void)service.publish();
   }
 
+  /// Read before server.start(): counted(c) is how far the server moved c.
+  CounterBaseline counted;
   api::Service service;
   std::shared_ptr<LoopbackListener> listener;
   Server server;
@@ -160,7 +163,7 @@ TEST(NetProtocol, ProtocolV2OpenersGetOneErrorThenEof) {
     EXPECT_NE(expect_fatal_bad_request(*conn, frames).find(message), std::string::npos)
         << message;
   }
-  EXPECT_EQ(harness.server.stats().protocol_errors, 2u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_protocol_errors), 2u);
   // The server keeps serving.
   auto ok = harness.client();
   EXPECT_TRUE(ok.query({.kind = api::QueryKind::kStats}).stats.has_value());
@@ -175,7 +178,7 @@ TEST(NetProtocol, WrongAuthTokenIsRejected) {
     EXPECT_EQ(e.error().code, api::ErrorCode::kAuthFailed);
     EXPECT_EQ(e.error().request_id, 0u);
   }
-  EXPECT_EQ(harness.server.stats().auth_failures, 1u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_auth_failures), 1u);
 
   // The right token still gets through afterwards.
   auto ok = harness.client({.token = "sesame"});
@@ -345,6 +348,26 @@ TEST(NetProtocol, PipelinedRequestsAreAnsweredInOrder) {
   }
 }
 
+TEST(NetProtocol, EveryFrameIsCountedOnceEachWay) {
+  // The frame counters are the registry's only record of frame traffic: a
+  // handshake plus N answered requests is hello + N requests in and
+  // welcome + N replies out.
+  constexpr std::uint64_t kRequests = 4;
+  Harness harness;
+  {
+    auto conn = harness.listener->connect();
+    FrameBuffer frames;
+    (void)hello(*conn, frames);
+    for (std::uint64_t id = 1; id <= kRequests; ++id) {
+      ASSERT_TRUE(conn->write_all(api::encode_request({id, {.kind = api::QueryKind::kStats}})));
+      EXPECT_EQ(api::decode_response(next_frame(*conn, frames)).request_id, id);
+    }
+  }
+  harness.server.stop();  // joins the IO loops: the last reply's send is counted
+  EXPECT_EQ(harness.counted(obs::metrics().net_frames_received), kRequests + 1);
+  EXPECT_EQ(harness.counted(obs::metrics().net_frames_sent), kRequests + 1);
+}
+
 TEST(NetProtocol, FramesSplitAcrossReadsAreReassembled) {
   Harness harness;
   (void)harness.service.ingest({tuple(10, 20, true)});
@@ -375,7 +398,7 @@ TEST(NetProtocol, MalformedBytesGetErrorFrameThenClose) {
   const std::vector<std::uint8_t> garbage = {'n', 'o', 't', ' ', 'w', 'i', 'r', 'e'};
   ASSERT_TRUE(conn->write_all(garbage));
   (void)expect_fatal_bad_request(*conn, frames);
-  EXPECT_GE(harness.server.stats().protocol_errors, 1u);
+  EXPECT_GE(harness.counted(obs::metrics().net_protocol_errors), 1u);
 }
 
 /// `frame` (payload under 128 bytes) with its payload one byte shorter
@@ -424,9 +447,9 @@ TEST(NetProtocol, MalformedPayloadOfEveryClientTypeGetsBadRequestThenClose) {
     }
     ASSERT_TRUE(conn->write_all(frame));
     (void)expect_fatal_bad_request(*conn, frames);
-    EXPECT_EQ(harness.server.stats().protocol_errors, ++expected_errors);
+    EXPECT_EQ(harness.counted(obs::metrics().net_protocol_errors), ++expected_errors);
   }
-  EXPECT_EQ(harness.server.stats().auth_failures, 0u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_auth_failures), 0u);
   auto client = harness.client({.token = "sesame"});
   EXPECT_TRUE(client.query({.kind = api::QueryKind::kStats}).stats.has_value());
 }
@@ -585,7 +608,8 @@ TEST(NetProtocol, SlowSubscriberIsDisconnectedWithoutStallingPublish) {
     EXPECT_EQ(event->delta.epoch, e);
   }
 
-  EXPECT_TRUE(eventually([&] { return harness.server.stats().slow_disconnects == 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return harness.counted(obs::metrics().net_slow_disconnects) == 1; }));
   EXPECT_TRUE(eventually([&] { return harness.service.subscription_count() == 1; }));
 }
 
@@ -619,7 +643,8 @@ TEST(NetProtocol, ByteBoundCatchesSlowSubscriberThatFrameCountMisses) {
     EXPECT_EQ(event->delta.epoch, e);
   }
 
-  EXPECT_TRUE(eventually([&] { return harness.server.stats().slow_disconnects == 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return harness.counted(obs::metrics().net_slow_disconnects) == 1; }));
   EXPECT_TRUE(eventually([&] { return harness.service.subscription_count() == 1; }));
 }
 
@@ -645,7 +670,7 @@ TEST(NetProtocol, OneFrameLargerThanTheByteLimitStillGoesOut) {
   ASSERT_GT(frame.size(), 512u) << "snapshot too small to exercise the oversized path";
   const auto response = api::decode_response(frame);
   ASSERT_TRUE(response.response.snapshot != nullptr);
-  EXPECT_EQ(harness.server.stats().slow_disconnects, 0u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_slow_disconnects), 0u);
 }
 
 TEST(NetProtocol, PipeliningPeerThatNeverReadsIsShedUnderTheDefaultBound) {
@@ -675,7 +700,8 @@ TEST(NetProtocol, PipeliningPeerThatNeverReadsIsShedUnderTheDefaultBound) {
   std::uint64_t sent = 0;
   while (sent < cap && conn->write_all(burst)) sent += kBurst;
   EXPECT_LT(sent, cap) << "a non-reading peer was never shed";
-  EXPECT_TRUE(eventually([&] { return harness.server.stats().slow_disconnects == 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return harness.counted(obs::metrics().net_slow_disconnects) == 1; }));
   EXPECT_TRUE(eventually([&] { return harness.server.connection_count() == 0; }));
 }
 
@@ -753,6 +779,7 @@ TEST(NetProtocol, NonPollableConnectionIsClosedAtAcceptWithoutTakingASlot) {
   auto inner = std::make_shared<LoopbackListener>();
   Server server(service, std::make_shared<FirstNonPollableListener>(inner),
                 {.max_connections = 1});
+  const CounterBaseline counted;
   server.start();
 
   // The refused connection just ends: no welcome, no error frame. (The
@@ -767,8 +794,8 @@ TEST(NetProtocol, NonPollableConnectionIsClosedAtAcceptWithoutTakingASlot) {
   Client healthy(inner->connect());
   EXPECT_EQ(healthy.welcome().protocol, api::kProtocolVersion);
   EXPECT_TRUE(healthy.query({.kind = api::QueryKind::kStats}).stats.has_value());
-  EXPECT_EQ(server.stats().connections_accepted, 1u);
-  EXPECT_EQ(server.stats().connections_rejected, 0u);
+  EXPECT_EQ(counted(obs::metrics().net_connections_accepted), 1u);
+  EXPECT_EQ(counted(obs::metrics().net_connections_rejected), 0u);
   server.stop();
 }
 
@@ -797,8 +824,8 @@ TEST(NetProtocol, ConnectionLimitTurnsExtraClientsAway) {
   } catch (const BusyError& e) {
     EXPECT_EQ(e.retry_after_ms(), 400u);
   }
-  EXPECT_EQ(harness.server.stats().connections_rejected, 2u);
-  EXPECT_EQ(harness.server.stats().busy_rejections, 2u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_connections_rejected), 2u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_busy_rejections), 2u);
 
   // Closing the first connection frees the slot.
   first.close();
@@ -851,7 +878,7 @@ TEST(NetProtocol, PingIsAnsweredWithPongEchoingTheNonce) {
   ASSERT_FALSE(reply.empty());
   EXPECT_EQ(api::peek_frame_type(reply), api::FrameType::kPong);
   EXPECT_EQ(api::decode_ping(reply, api::FrameType::kPong).nonce, 0xDEADBEEFu);
-  EXPECT_EQ(harness.server.stats().pings_received, 1u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_pings_received), 1u);
 }
 
 TEST(NetProtocol, ReadingResumesAfterABacklogOfFramesThatNeedNoReply) {
@@ -896,8 +923,8 @@ TEST(NetProtocol, SilentPeerIsProbedThenTornDownAfterTheKeepaliveTimeout) {
   EXPECT_EQ(api::peek_frame_type(probe), api::FrameType::kPing);
   EXPECT_TRUE(next_frame(*conn, frames).empty()) << "a silent peer must be torn down";
   EXPECT_TRUE(eventually([&] { return harness.server.connection_count() == 0; }));
-  EXPECT_EQ(harness.server.stats().keepalive_probes, 1u);
-  EXPECT_EQ(harness.server.stats().keepalive_disconnects, 1u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_keepalive_probes), 1u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_keepalive_disconnects), 1u);
 
   // max_connections is 1: a leaked slot would turn this client away busy.
   auto client = harness.client();
@@ -921,8 +948,8 @@ TEST(NetProtocol, ClientBlockedInNextEventAnswersKeepaliveProbes) {
   publisher.join();
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->delta.epoch, 0u);
-  EXPECT_GE(harness.server.stats().keepalive_probes, 2u);
-  EXPECT_EQ(harness.server.stats().keepalive_disconnects, 0u);
+  EXPECT_GE(harness.counted(obs::metrics().net_keepalive_probes), 2u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_keepalive_disconnects), 0u);
   EXPECT_EQ(harness.server.connection_count(), 1u);
 }
 
@@ -948,7 +975,7 @@ TEST(NetProtocol, RateLimitedRequestIsShedAsBusyWithARetryHint) {
   const auto busy = api::decode_busy(busy_frame);
   EXPECT_EQ(busy.request_id, 2u);
   EXPECT_EQ(busy.retry_after_ms, 250u);
-  EXPECT_EQ(harness.server.stats().requests_shed, 1u);
+  EXPECT_EQ(harness.counted(obs::metrics().net_requests_shed), 1u);
 
   // The shed is request-scoped: the connection still answers pings.
   ASSERT_TRUE(conn->write_all(api::encode_ping({3})));

@@ -1,8 +1,7 @@
 // The metrics registry and its renderers: instrument semantics (lane-striped
-// counters, gauge high-water marks, log-bucket histograms), the global
-// enabled gate, registry interning and type conflicts, callback collectors,
-// and the three renderings of one scrape (Prometheus text, flat JSON,
-// plain listing).
+// counters, gauge high-water marks, log-bucket histograms), registry
+// interning and type conflicts, callback collectors, and the three
+// renderings of one scrape (Prometheus text, flat JSON, plain listing).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -87,26 +86,6 @@ TEST(HistogramTest, ObserveTracksSumCountAndBuckets) {
   EXPECT_EQ(h.bucket(0), 1u);
   EXPECT_EQ(h.bucket(2), 2u);
   EXPECT_EQ(h.bucket(10), 1u);  // 1000 <= 1024
-}
-
-TEST(EnabledGateTest, DisabledDropsHotPathUpdates) {
-  Counter c;
-  Gauge g;
-  Histogram h;
-  set_enabled(false);
-  c.add(5);
-  g.add(5);
-  g.max_of(5);
-  h.observe(5);
-  set_enabled(true);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(h.count(), 0u);
-  // set() is not gated: it records state, not an event.
-  set_enabled(false);
-  g.set(9);
-  set_enabled(true);
-  EXPECT_EQ(g.value(), 9);
 }
 
 TEST(StageTimerTest, RecordsExactlyOnce) {

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/engine.h"
+#include "obs/wellknown.h"
 #include "stream/engine.h"
 
 namespace bgpcu::stream {
@@ -333,12 +334,22 @@ TEST(StreamEngine, WindowAgingEvictsWholePathLengthGroup) {
   }
 }
 
-TEST(StreamEngine, SnapshotStatsTrackLockedPhaseAndMaintenance) {
+// The snapshot path counts only into the process-wide obs registry, which
+// every case in this binary shares: these tests read its series as movement
+// since values taken before their engine exists.
+
+TEST(StreamEngine, SnapshotCountersTrackLockedPhaseAndMaintenance) {
+  auto& m = obs::metrics();
+  const auto sweeps = m.snapshot_sweeps.value();
+  const auto hits = m.snapshot_cache_hits.value();
+  const auto deltas = m.index_deltas_applied.value();
+  const auto locked_total = m.snapshot_locked_ns.sum();
   StreamConfig config;
   config.shards = 2;
   config.window_epochs = 1;
   StreamEngine engine(config);
-  EXPECT_EQ(engine.snapshot_stats(), SnapshotStats{});
+  EXPECT_EQ(m.snapshot_sweeps.value(), sweeps);
+  EXPECT_EQ(m.snapshot_locked_ns.sum(), locked_total);
 
   core::Dataset d;
   for (int i = 0; i < 20; ++i) {
@@ -346,31 +357,34 @@ TEST(StreamEngine, SnapshotStatsTrackLockedPhaseAndMaintenance) {
   }
   const auto accepted = engine.ingest(d).accepted;
   (void)engine.snapshot();
-  auto stats = engine.snapshot_stats();
-  EXPECT_EQ(stats.sweeps, 1u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.deltas_applied, accepted) << "first snapshot applies every add";
-  EXPECT_GT(stats.locked_ns_last, 0u);
-  EXPECT_EQ(stats.locked_ns_total, stats.locked_ns_last);
+  EXPECT_EQ(m.snapshot_sweeps.value() - sweeps, 1u);
+  EXPECT_EQ(m.snapshot_cache_hits.value() - hits, 0u);
+  EXPECT_EQ(m.index_deltas_applied.value() - deltas, accepted)
+      << "first snapshot applies every add";
+  const auto locked_last = static_cast<std::uint64_t>(m.snapshot_locked_last_ns.value());
+  EXPECT_GT(locked_last, 0u);
+  EXPECT_EQ(m.snapshot_locked_ns.sum() - locked_total, locked_last);
 
   (void)engine.snapshot();  // unchanged engine: cache hit, no locked phase
-  stats = engine.snapshot_stats();
-  EXPECT_EQ(stats.sweeps, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(m.snapshot_sweeps.value() - sweeps, 1u);
+  EXPECT_EQ(m.snapshot_cache_hits.value() - hits, 1u);
 
   engine.advance_epoch();  // evicts everything (window 1, no new input)
   (void)engine.snapshot();
-  stats = engine.snapshot_stats();
-  EXPECT_EQ(stats.sweeps, 2u);
-  EXPECT_EQ(stats.deltas_applied, 2 * accepted) << "evictions are deltas too";
-  EXPECT_GE(stats.locked_ns_total, stats.locked_ns_last);
+  EXPECT_EQ(m.snapshot_sweeps.value() - sweeps, 2u);
+  EXPECT_EQ(m.index_deltas_applied.value() - deltas, 2 * accepted)
+      << "evictions are deltas too";
+  EXPECT_EQ(m.snapshot_locked_ns.sum() - locked_total,
+            locked_last + static_cast<std::uint64_t>(m.snapshot_locked_last_ns.value()));
 }
 
 TEST(StreamEngine, JournalOverflowFallsBackToOneRebuild) {
   // A cap smaller than the batch: the journal overflows before the first
   // snapshot, which must rebuild from shard state (counted in
-  // index_rebuilds), still produce the exact result, and resume incremental
-  // maintenance afterwards.
+  // bgpcu_index_rebuilds_total), still produce the exact result, and resume
+  // incremental maintenance afterwards.
+  auto& m = obs::metrics();
+  const auto rebuilds = m.index_rebuilds.value();
   StreamConfig config;
   config.shards = 2;
   config.journal_cap = 4;
@@ -383,8 +397,8 @@ TEST(StreamEngine, JournalOverflowFallsBackToOneRebuild) {
   }
   (void)engine.ingest(d);
   expect_equal(*engine.snapshot(), core::ColumnEngine().run(d));
-  const auto stats = engine.snapshot_stats();
-  EXPECT_GE(stats.index_rebuilds, 1u);
+  const auto rebuilt = m.index_rebuilds.value() - rebuilds;
+  EXPECT_GE(rebuilt, 1u);
 
   // A small follow-up batch fits the journal: no further rebuild.
   core::Dataset more;
@@ -394,10 +408,14 @@ TEST(StreamEngine, JournalOverflowFallsBackToOneRebuild) {
   merged.push_back(tuple({7, 300}));
   core::deduplicate(merged);
   expect_equal(*engine.snapshot(), core::ColumnEngine().run(merged));
-  EXPECT_EQ(engine.snapshot_stats().index_rebuilds, stats.index_rebuilds);
+  EXPECT_EQ(m.index_rebuilds.value() - rebuilds, rebuilt);
 }
 
 TEST(StreamEngine, NonIncrementalFallbackKeepsMaintenanceCountersAtZero) {
+  auto& m = obs::metrics();
+  const auto sweeps = m.snapshot_sweeps.value();
+  const auto deltas = m.index_deltas_applied.value();
+  const auto rebuilds = m.index_rebuilds.value();
   StreamConfig config;
   config.shards = 2;
   config.incremental_index = false;
@@ -407,11 +425,10 @@ TEST(StreamEngine, NonIncrementalFallbackKeepsMaintenanceCountersAtZero) {
   d.push_back(tuple({4, 5}));
   (void)engine.ingest(d);
   expect_equal(*engine.snapshot(), core::ColumnEngine().run(d));
-  const auto stats = engine.snapshot_stats();
-  EXPECT_EQ(stats.sweeps, 1u);
-  EXPECT_EQ(stats.deltas_applied, 0u);
-  EXPECT_EQ(stats.index_rebuilds, 0u);
-  EXPECT_GT(stats.locked_ns_last, 0u) << "the rebuild collect is still timed";
+  EXPECT_EQ(m.snapshot_sweeps.value() - sweeps, 1u);
+  EXPECT_EQ(m.index_deltas_applied.value() - deltas, 0u);
+  EXPECT_EQ(m.index_rebuilds.value() - rebuilds, 0u);
+  EXPECT_GT(m.snapshot_locked_last_ns.value(), 0) << "the rebuild collect is still timed";
 }
 
 TEST(StreamEngine, SingleShardDegenerateStillCorrect) {

@@ -77,22 +77,29 @@ std::vector<std::uint8_t> UpdateMessage::encode(bool four_byte) const {
 }
 
 UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> message, bool four_byte) {
-  ByteReader r = open_body(message, MessageType::kUpdate);
   UpdateMessage out;
+  decode_into(message, four_byte, out);
+  return out;
+}
+
+void UpdateMessage::decode_into(std::span<const std::uint8_t> message, bool four_byte,
+                                UpdateMessage& out) {
+  ByteReader r = open_body(message, MessageType::kUpdate);
 
   const std::uint16_t withdrawn_len = r.u16();
   ByteReader withdrawn_r = r.sub(withdrawn_len);
+  out.withdrawn.clear();
   while (!withdrawn_r.exhausted()) {
     out.withdrawn.push_back(Prefix::decode_nlri(withdrawn_r, Afi::kIpv4));
   }
 
   const std::uint16_t attrs_len = r.u16();
-  out.attributes = PathAttributes::decode(r.sub(attrs_len), four_byte);
+  PathAttributes::decode_into(r.sub(attrs_len), four_byte, out.attributes);
 
+  out.nlri.clear();
   while (!r.exhausted()) {
     out.nlri.push_back(Prefix::decode_nlri(r, Afi::kIpv4));
   }
-  return out;
 }
 
 std::vector<std::uint8_t> OpenMessage::encode() const {

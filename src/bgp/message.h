@@ -41,6 +41,11 @@ struct UpdateMessage {
   /// is not a well-formed UPDATE.
   static UpdateMessage decode(std::span<const std::uint8_t> message, bool four_byte);
 
+  /// `decode` into `out`, reusing its prefix vectors and attribute buffers.
+  /// On a throw `out` is valid but unspecified.
+  static void decode_into(std::span<const std::uint8_t> message, bool four_byte,
+                          UpdateMessage& out);
+
   friend bool operator==(const UpdateMessage&, const UpdateMessage&) = default;
 };
 

@@ -46,16 +46,6 @@ bool AsPath::has_as_set() const noexcept {
                      [](const AsPathSegment& s) { return s.type == SegmentType::kAsSet; });
 }
 
-std::vector<Asn> AsPath::sequence_asns() const {
-  std::vector<Asn> out;
-  for (const auto& seg : segments_) {
-    if (seg.type == SegmentType::kAsSequence) {
-      out.insert(out.end(), seg.asns.begin(), seg.asns.end());
-    }
-  }
-  return out;
-}
-
 void AsPath::prepend(Asn asn) {
   if (!segments_.empty() && segments_.front().type == SegmentType::kAsSequence &&
       segments_.front().asns.size() < 255) {
@@ -110,23 +100,31 @@ void AsPath::encode(ByteWriter& w, bool four_byte) const {
 }
 
 AsPath AsPath::decode(ByteReader r, bool four_byte) {
-  std::vector<AsPathSegment> segments;
+  AsPath out;
+  decode_into(r, four_byte, out);
+  return out;
+}
+
+void AsPath::decode_into(ByteReader r, bool four_byte, AsPath& out) {
+  auto& segments = out.segments_;
+  std::size_t used = 0;
   while (!r.exhausted()) {
-    AsPathSegment seg;
     const std::uint8_t type = r.u8();
     if (type != static_cast<std::uint8_t>(SegmentType::kAsSet) &&
         type != static_cast<std::uint8_t>(SegmentType::kAsSequence)) {
       throw WireError("unknown AS_PATH segment type " + std::to_string(type));
     }
-    seg.type = static_cast<SegmentType>(type);
     const std::uint8_t count = r.u8();
+    if (used == segments.size()) segments.emplace_back();
+    AsPathSegment& seg = segments[used++];
+    seg.type = static_cast<SegmentType>(type);
+    seg.asns.clear();
     seg.asns.reserve(count);
     for (unsigned i = 0; i < count; ++i) {
       seg.asns.push_back(four_byte ? r.u32() : r.u16());
     }
-    segments.push_back(std::move(seg));
   }
-  return AsPath(std::move(segments));
+  segments.resize(used);
 }
 
 CommunitySet PathAttributes::all_communities() const {
@@ -225,6 +223,25 @@ void PathAttributes::encode(ByteWriter& w, bool four_byte) const {
 
 PathAttributes PathAttributes::decode(ByteReader r, bool four_byte) {
   PathAttributes out;
+  decode_into(r, four_byte, out);
+  return out;
+}
+
+void PathAttributes::decode_into(ByteReader r, bool four_byte, PathAttributes& out) {
+  // Back to the empty block. `as_path` stays engaged until the walk is over,
+  // so a block that carries one decodes it into the old segment vectors.
+  out.origin.reset();
+  out.next_hop.reset();
+  out.med.reset();
+  out.local_pref.reset();
+  out.atomic_aggregate = false;
+  out.aggregator.reset();
+  out.communities.clear();
+  out.large_communities.clear();
+  out.mp_reach.reset();
+  out.mp_unreach.reset();
+  out.unknown.clear();
+  bool has_as_path = false;
   while (!r.exhausted()) {
     const std::uint8_t flags = r.u8();
     const std::uint8_t type = r.u8();
@@ -238,7 +255,9 @@ PathAttributes PathAttributes::decode(ByteReader r, bool four_byte) {
         break;
       }
       case AttrType::kAsPath:
-        out.as_path = AsPath::decode(body, four_byte);
+        if (!out.as_path) out.as_path.emplace();
+        AsPath::decode_into(body, four_byte, *out.as_path);
+        has_as_path = true;
         break;
       case AttrType::kNextHop:
         out.next_hop = body.u32();
@@ -310,7 +329,7 @@ PathAttributes PathAttributes::decode(ByteReader r, bool four_byte) {
       }
     }
   }
-  return out;
+  if (!has_as_path) out.as_path.reset();
 }
 
 }  // namespace bgpcu::bgp

@@ -67,10 +67,6 @@ class AsPath {
   /// True if any segment is an AS_SET.
   [[nodiscard]] bool has_as_set() const noexcept;
 
-  /// Flattens AS_SEQUENCE segments into a single ASN vector, dropping AS_SET
-  /// segments entirely (the paper's sanitation removes AS_SETs, §4.1).
-  [[nodiscard]] std::vector<Asn> sequence_asns() const;
-
   /// Prepends one ASN (as routers do when propagating).
   void prepend(Asn asn);
 
@@ -86,6 +82,10 @@ class AsPath {
 
   /// Decodes a whole attribute body.
   static AsPath decode(ByteReader r, bool four_byte);
+
+  /// `decode` into `out`, reusing its segment vectors. On a throw `out` is
+  /// valid but unspecified.
+  static void decode_into(ByteReader r, bool four_byte, AsPath& out);
 
   friend bool operator==(const AsPath&, const AsPath&) = default;
 
@@ -149,6 +149,10 @@ struct PathAttributes {
 
   /// Decodes an attribute block of exactly `r.remaining()` bytes.
   static PathAttributes decode(ByteReader r, bool four_byte);
+
+  /// `decode` into `out`, reusing the AS_PATH segment vectors and both
+  /// community vectors. On a throw `out` is valid but unspecified.
+  static void decode_into(ByteReader r, bool four_byte, PathAttributes& out);
 
   friend bool operator==(const PathAttributes&, const PathAttributes&) = default;
 };

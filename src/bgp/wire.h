@@ -31,24 +31,49 @@ class ByteReader {
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  // The accessors are inline: the decoders call them once per field, and
+  // only the throw is out of line.
+  [[nodiscard]] std::uint8_t u8() {
+    require(1);
+    return data_[pos_++];
+  }
+  [[nodiscard]] std::uint16_t u16() { return static_cast<std::uint16_t>(big_endian(2)); }
+  [[nodiscard]] std::uint32_t u32() { return static_cast<std::uint32_t>(big_endian(4)); }
+  [[nodiscard]] std::uint64_t u64() { return big_endian(8); }
 
   /// Returns a view of the next `n` bytes and advances past them.
-  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n);
+  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
+    require(n);
+    const auto view = data_.subspan(pos_, n);
+    pos_ += n;
+    return view;
+  }
 
   /// Skips `n` bytes.
-  void skip(std::size_t n);
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
 
   /// Returns a sub-reader over the next `n` bytes and advances past them.
   /// Used to hard-limit nested structures (e.g. a path attribute body) so a
   /// corrupt inner length cannot read past its enclosing record.
-  [[nodiscard]] ByteReader sub(std::size_t n);
+  [[nodiscard]] ByteReader sub(std::size_t n) { return ByteReader(bytes(n)); }
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    if (remaining() < n) throw_underrun(n);
+  }
+  [[noreturn]] void throw_underrun(std::size_t n) const;
+
+  /// Reads an `n`-byte big-endian integer, n <= 8.
+  std::uint64_t big_endian(std::size_t n) {
+    require(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | data_[pos_ + i];
+    pos_ += n;
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -1,11 +1,9 @@
 #include "collector/extract.h"
 
 #include <algorithm>
+#include <functional>
 
-#include "bgp/message.h"
-#include "mrt/bgp4mp.h"
 #include "mrt/reader.h"
-#include "mrt/table_dump_v2.h"
 
 namespace bgpcu::collector {
 
@@ -32,28 +30,86 @@ void DatasetBundle::merge(DatasetBundle&& other) {
   session_peers.merge(other.session_peers);
 }
 
-void DatasetBuilder::ingest(const RawEntry& entry) {
+namespace {
+
+const bgp::AsPath kNoPath;
+
+/// The tuple's std::hash, finalized with murmur3's fmix64 so the low bits
+/// the index masks with depend on every input bit.
+std::uint32_t digest_of(const core::PathCommTuple& tuple) {
+  std::uint64_t h = std::hash<core::PathCommTuple>{}(tuple);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return static_cast<std::uint32_t>(h);
+}
+
+}  // namespace
+
+void DatasetBuilder::ingest(const bgp::Prefix& prefix, bgp::Asn session_peer_asn,
+                            const bgp::PathAttributes& attributes, bool from_rib) {
+  const bgp::AsPath& as_path = attributes.as_path ? *attributes.as_path : kNoPath;
+  const bool kept = sanitizer_.process_into(prefix, session_peer_asn, as_path,
+                                            attributes.communities,
+                                            attributes.large_communities, scratch_);
+  std::uint32_t digest = 0;
+  if (kept) {
+    if ((bundle_.dataset.size() + 1) * 2 > slots_.size()) grow_index();
+    digest = digest_of(scratch_);
+    // The probe's first slot is usually a cache miss: start loading it now
+    // and run the Table-1 accounting while it arrives.
+    __builtin_prefetch(&slots_[digest & (slots_.size() - 1)]);
+  }
+
   ++bundle_.extraction.entries_total;
-  if (entry.from_rib) ++bundle_.extraction.rib_entries;
-  bundle_.session_peers.insert(entry.session_peer_asn);
-  for (const auto& segment : entry.as_path.segments()) {
+  if (from_rib) ++bundle_.extraction.rib_entries;
+  bundle_.session_peers.insert(session_peer_asn);
+  for (const auto& segment : as_path.segments()) {
     for (const bgp::Asn asn : segment.asns) bundle_.raw_asns.insert(asn);
   }
-  for (const auto& c : entry.comms) {
-    ++bundle_.extraction.communities_total;
-    if (c.kind == bgp::CommunityKind::kLarge) ++bundle_.extraction.large_communities_total;
-    bundle_.unique_comms.insert(c);
+  for (const auto* set : {&attributes.communities, &attributes.large_communities}) {
+    for (const auto& c : *set) {
+      ++bundle_.extraction.communities_total;
+      if (c.kind == bgp::CommunityKind::kLarge) ++bundle_.extraction.large_communities_total;
+      bundle_.unique_comms.insert(c);
+    }
   }
-  if (auto tuple = sanitizer_.process(entry)) {
-    bundle_.dataset.push_back(std::move(*tuple));
+  if (kept) keep_if_new(digest);
+}
+
+void DatasetBuilder::keep_if_new(std::uint32_t digest) {
+  auto& dataset = bundle_.dataset;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = digest & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.row == 0) {
+      dataset.push_back(scratch_);  // a copy: the scratch keeps its buffers
+      slot = {digest, static_cast<std::uint32_t>(dataset.size())};
+      return;
+    }
+    if (slot.digest == digest && dataset[slot.row - 1] == scratch_) return;
   }
+}
+
+void DatasetBuilder::grow_index() {
+  std::vector<Slot> grown(std::max<std::size_t>(1024, slots_.size() * 2));
+  const std::size_t mask = grown.size() - 1;
+  for (const Slot& slot : slots_) {
+    if (slot.row == 0) continue;
+    std::size_t i = slot.digest & mask;
+    while (grown[i].row != 0) i = (i + 1) & mask;
+    grown[i] = slot;
+  }
+  slots_ = std::move(grown);
 }
 
 void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
   mrt::MrtReader reader(dump);
   std::optional<mrt::PeerIndexTable> peer_table;
 
-  while (auto rec = reader.next()) {
+  while (const auto rec = reader.next_view()) {
     try {
       switch (rec->mrt_type()) {
         case mrt::MrtType::kTableDumpV2: {
@@ -62,21 +118,16 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
             peer_table = mrt::PeerIndexTable::decode(rec->body);
             break;
           }
-          auto rib = mrt::RibRecord::decode(rec->body, subtype);
-          for (auto& entry : rib.entries) {
+          // The whole record decodes before any entry is ingested, so a
+          // malformed entry drops its siblings too.
+          mrt::RibRecord::decode_into(rec->body, subtype, rib_);
+          for (const auto& entry : rib_.entries) {
             if (!peer_table || entry.peer_index >= peer_table->peers.size()) {
               ++bundle_.extraction.decode_errors;
               continue;
             }
-            RawEntry raw;
-            raw.prefix = rib.prefix;
-            raw.session_peer_asn = peer_table->peers[entry.peer_index].asn;
-            // Each RIB entry is consumed exactly once: steal its path
-            // instead of deep-copying the ASN vectors.
-            if (entry.attributes.as_path) raw.as_path = std::move(*entry.attributes.as_path);
-            raw.comms = entry.attributes.all_communities();
-            raw.from_rib = true;
-            ingest(raw);
+            ingest(rib_.prefix, peer_table->peers[entry.peer_index].asn, entry.attributes,
+                   /*from_rib=*/true);
           }
           break;
         }
@@ -87,31 +138,24 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
               subtype != mrt::Bgp4mpSubtype::kMessageAs4) {
             break;  // state changes carry no routes
           }
-          const auto msg = mrt::Bgp4mpMessage::decode(rec->body, subtype);
-          const auto header = bgp::peek_header(msg.bgp_message);
+          const auto message = mrt::Bgp4mpMessage::decode_into(rec->body, subtype, message_);
+          const auto header = bgp::peek_header(message);
           if (header.type != bgp::MessageType::kUpdate) break;
           ++bundle_.extraction.update_messages;
-          auto update = bgp::UpdateMessage::decode(msg.bgp_message, msg.as4);
-          bundle_.extraction.withdrawals += update.withdrawn.size();
-          if (update.attributes.mp_unreach) {
-            bundle_.extraction.withdrawals += update.attributes.mp_unreach->withdrawn.size();
+          bgp::UpdateMessage::decode_into(message, message_.as4, update_);
+          const auto& attributes = update_.attributes;
+          bundle_.extraction.withdrawals += update_.withdrawn.size();
+          if (attributes.mp_unreach) {
+            bundle_.extraction.withdrawals += attributes.mp_unreach->withdrawn.size();
           }
-          // All announced prefixes share one attribute block: build the
-          // entry once (moving the path and merged communities in) and only
-          // swap the prefix per NLRI, instead of re-copying path +
-          // communities for every prefix.
-          RawEntry raw;
-          raw.session_peer_asn = msg.peer_asn;
-          raw.comms = update.attributes.all_communities();
-          if (update.attributes.as_path) raw.as_path = std::move(*update.attributes.as_path);
-          raw.from_rib = false;
-          const auto ingest_prefix = [&](const bgp::Prefix& prefix) {
-            raw.prefix = prefix;
-            ingest(raw);
-          };
-          for (const auto& prefix : update.nlri) ingest_prefix(prefix);
-          if (update.attributes.mp_reach) {
-            for (const auto& prefix : update.attributes.mp_reach->nlri) ingest_prefix(prefix);
+          // All announced prefixes share one attribute block.
+          for (const auto& prefix : update_.nlri) {
+            ingest(prefix, message_.peer_asn, attributes, /*from_rib=*/false);
+          }
+          if (attributes.mp_reach) {
+            for (const auto& prefix : attributes.mp_reach->nlri) {
+              ingest(prefix, message_.peer_asn, attributes, /*from_rib=*/false);
+            }
           }
           break;
         }
@@ -126,7 +170,9 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
 
 DatasetBundle DatasetBuilder::finish() {
   bundle_.sanitation = sanitizer_.stats();
-  core::deduplicate(bundle_.dataset);
+  // Every tuple is distinct already; only the order is left to establish.
+  std::sort(bundle_.dataset.begin(), bundle_.dataset.end(), core::TupleLess{});
+  slots_ = std::vector<Slot>();
   return std::move(bundle_);
 }
 

@@ -1,6 +1,6 @@
-// MRT extraction: walks dump buffers, decodes RIB and update records into
-// raw route entries, pipes them through the sanitizer, and accumulates the
-// dataset + the statistics behind the paper's Table 1.
+// MRT extraction: walks dump buffers, decodes RIB and update records in
+// place, pipes each route through the sanitizer, and accumulates the
+// distinct tuples + the statistics behind the paper's Table 1.
 #ifndef BGPCU_COLLECTOR_EXTRACT_H
 #define BGPCU_COLLECTOR_EXTRACT_H
 
@@ -9,8 +9,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bgp/message.h"
 #include "collector/sanitize.h"
 #include "core/types.h"
+#include "mrt/bgp4mp.h"
+#include "mrt/table_dump_v2.h"
 #include "registry/registry.h"
 
 namespace bgpcu::collector {
@@ -42,6 +45,10 @@ struct DatasetBundle {
 };
 
 /// Streaming builder: feed MRT dump buffers, then `finish()`.
+///
+/// Records are decoded into reused objects and each route is sanitized into
+/// a reused scratch tuple, so the steady state allocates only for a tuple
+/// not seen before: most input re-announces a known (path, communities).
 class DatasetBuilder {
  public:
   explicit DatasetBuilder(const registry::AllocationRegistry& reg) : sanitizer_(reg) {}
@@ -50,14 +57,35 @@ class DatasetBuilder {
   /// per record and do not abort the dump.
   void add_dump(std::span<const std::uint8_t> dump);
 
-  /// Deduplicates and returns the bundle; the builder is spent afterwards.
+  /// Sorts the distinct tuples and returns the bundle; the builder is spent
+  /// afterwards.
   [[nodiscard]] DatasetBundle finish();
 
  private:
-  void ingest(const RawEntry& entry);
+  /// A slot of the distinct-tuple index: a 32-bit digest of the tuple and
+  /// its row in `bundle_.dataset` plus one (0 marks an empty slot).
+  struct Slot {
+    std::uint32_t digest = 0;
+    std::uint32_t row = 0;
+  };
+
+  void ingest(const bgp::Prefix& prefix, bgp::Asn session_peer_asn,
+              const bgp::PathAttributes& attributes, bool from_rib);
+  /// Appends `scratch_`, whose digest is `digest`, to the dataset unless an
+  /// equal tuple is there. `slots_` must have room for one more row.
+  void keep_if_new(std::uint32_t digest);
+  void grow_index();
 
   Sanitizer sanitizer_;
-  DatasetBundle bundle_;
+  DatasetBundle bundle_;  ///< `dataset` holds each distinct tuple once.
+  // Decode targets and the sanitized tuple, reused across records.
+  mrt::RibRecord rib_;
+  mrt::Bgp4mpMessage message_;
+  bgp::UpdateMessage update_;
+  core::PathCommTuple scratch_;
+  /// Open addressing with linear probing over `bundle_.dataset`; a power of
+  /// two in size, at most half full.
+  std::vector<Slot> slots_;
 };
 
 /// The derived Table-1 row values for one dataset.

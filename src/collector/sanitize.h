@@ -18,7 +18,7 @@
 
 namespace bgpcu::collector {
 
-/// One raw route observation as decoded from MRT, before sanitation.
+/// One raw route observation before sanitation, as `process` takes it.
 struct RawEntry {
   bgp::Prefix prefix;
   bgp::Asn session_peer_asn = 0;  ///< MRT peer ASN (the RS's on RS sessions).
@@ -49,6 +49,14 @@ class Sanitizer {
   /// Applies the full pipeline; returns the cleaned tuple or nullopt when
   /// the entry is dropped. Thread-compatible (stats are per-instance).
   std::optional<core::PathCommTuple> process(const RawEntry& entry);
+
+  /// `process` on one route given by its parts, writing the cleaned tuple
+  /// into `out` and reusing its buffers; the tuple's communities are the
+  /// normalized union of `communities` and `large_communities`. Returns
+  /// false when the entry is dropped, leaving `out` unspecified.
+  bool process_into(const bgp::Prefix& prefix, bgp::Asn session_peer_asn,
+                    const bgp::AsPath& as_path, const bgp::CommunitySet& communities,
+                    const bgp::CommunitySet& large_communities, core::PathCommTuple& out);
 
   [[nodiscard]] const SanitationStats& stats() const noexcept { return stats_; }
 

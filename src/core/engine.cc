@@ -130,7 +130,7 @@ IndexedDataset::IndexedDataset(std::span<const TupleView> views) {
     auto& group = by_len[path.size()];
     for (const auto asn : path) {
       const auto [it, inserted] =
-          ids.emplace(asn, static_cast<std::uint32_t>(asns_.size()));
+          ids.try_emplace(asn, static_cast<std::uint32_t>(asns_.size()));
       if (inserted) asns_.push_back(asn);
       group.ids.push_back(it->second);
     }

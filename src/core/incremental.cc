@@ -104,12 +104,12 @@ void IncrementalIndex::add(std::uint64_t key, const std::vector<bgp::Asn>& path,
   const std::size_t g = path.size() - 1;
   auto& group = data_.groups_[g];
   const auto row = static_cast<std::uint32_t>(group.count());
-  if (!row_of_.emplace(key, RowRef{group.len, row}).second) {
+  if (!row_of_.try_emplace(key, RowRef{group.len, row}).second) {
     throw std::invalid_argument("IncrementalIndex: add reuses a live key");
   }
   for (const auto asn : path) {
     const auto [it, inserted] =
-        id_of_.emplace(asn, static_cast<std::uint32_t>(data_.asns_.size()));
+        id_of_.try_emplace(asn, static_cast<std::uint32_t>(data_.asns_.size()));
     if (inserted) {
       data_.asns_.push_back(asn);
       id_refs_.push_back(0);
@@ -218,7 +218,7 @@ void IncrementalIndex::rebuild() {
   id_of_.clear();
   id_of_.reserve(data_.asns_.size());
   for (std::size_t id = 0; id < data_.asns_.size(); ++id) {
-    id_of_.emplace(data_.asns_[id], static_cast<std::uint32_t>(id));
+    id_of_.try_emplace(data_.asns_[id], static_cast<std::uint32_t>(id));
   }
   dead_ids_ = 0;
   ++stats_.full_rebuilds;
@@ -276,7 +276,7 @@ bool IncrementalIndex::load_image(std::span<const std::uint8_t> image) {
   id_of_.reserve(asn_count);
   for (std::uint32_t id = 0; id < asn_count; ++id) {
     const auto asn = cursor.u32();
-    if (!id_of_.emplace(asn, id).second) {
+    if (!id_of_.try_emplace(asn, id).second) {
       reset();
       return false;  // duplicate ASN: the dense map would be ambiguous
     }
@@ -309,7 +309,7 @@ bool IncrementalIndex::load_image(std::span<const std::uint8_t> image) {
       }
       group.masks.push_back(cursor.u32());
       const auto key = cursor.u64();
-      if (!row_of_.emplace(key, RowRef{group.len, row}).second) {
+      if (!row_of_.try_emplace(key, RowRef{group.len, row}).second) {
         reset();
         return false;  // duplicate tuple key
       }

@@ -21,15 +21,7 @@ std::string PathCommTuple::to_string() const {
 std::size_t deduplicate(Dataset& tuples) {
   for (auto& t : tuples) bgp::normalize(t.comms);
   const std::size_t before = tuples.size();
-  // Single-pass lexicographic comparison: the naive (a.path != b.path)
-  // pre-check walked both vectors twice per comparison in the sort's inner
-  // loop, which dominated dedup time on update-heavy inputs.
-  std::sort(tuples.begin(), tuples.end(), [](const PathCommTuple& a, const PathCommTuple& b) {
-    const auto path_cmp = std::lexicographical_compare_three_way(
-        a.path.begin(), a.path.end(), b.path.begin(), b.path.end());
-    if (path_cmp != 0) return path_cmp < 0;
-    return a.comms < b.comms;
-  });
+  std::sort(tuples.begin(), tuples.end(), TupleLess{});
   tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
   return before - tuples.size();
 }

@@ -5,6 +5,8 @@
 #ifndef BGPCU_CORE_TYPES_H
 #define BGPCU_CORE_TYPES_H
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,8 +36,21 @@ struct PathCommTuple {
 /// A deduplicated tuple collection, the unit of input to the engines.
 using Dataset = std::vector<PathCommTuple>;
 
+/// The order of a deduplicated dataset: paths lexicographically, then
+/// community sets. The paths are compared in one three-way pass, so a sort's
+/// inner loop walks each pair of paths once.
+struct TupleLess {
+  bool operator()(const PathCommTuple& a, const PathCommTuple& b) const noexcept {
+    const auto path_cmp = std::lexicographical_compare_three_way(
+        a.path.begin(), a.path.end(), b.path.begin(), b.path.end());
+    if (path_cmp != 0) return path_cmp < 0;
+    return a.comms < b.comms;
+  }
+};
+
 /// Sorts + deduplicates `tuples` in place (normalizing each community set
-/// first) and returns the number of duplicates removed.
+/// first) into `TupleLess` order and returns the number of duplicates
+/// removed.
 std::size_t deduplicate(Dataset& tuples);
 
 /// All distinct ASNs appearing in any path of `tuples`, sorted.

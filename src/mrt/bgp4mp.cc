@@ -48,6 +48,10 @@ void decode_session(ByteReader& r, T& rec, bool as4) {
   const std::size_t ip_len = rec.ipv6 ? 16u : 4u;
   const auto peer = r.bytes(ip_len);
   const auto local = r.bytes(ip_len);
+  // Zero first: an IPv4 session fills 4 of the 16 bytes, and a reused
+  // record must not keep a previous IPv6 session's tail.
+  rec.peer_ip = {};
+  rec.local_ip = {};
   std::memcpy(rec.peer_ip.data(), peer.data(), ip_len);
   std::memcpy(rec.local_ip.data(), local.data(), ip_len);
 }
@@ -75,15 +79,22 @@ std::vector<std::uint8_t> Bgp4mpMessage::encode() const {
 }
 
 Bgp4mpMessage Bgp4mpMessage::decode(std::span<const std::uint8_t> body, Bgp4mpSubtype subtype) {
+  Bgp4mpMessage out;
+  const auto msg = decode_into(body, subtype, out);
+  out.bgp_message.assign(msg.begin(), msg.end());
+  return out;
+}
+
+std::span<const std::uint8_t> Bgp4mpMessage::decode_into(std::span<const std::uint8_t> body,
+                                                         Bgp4mpSubtype subtype,
+                                                         Bgp4mpMessage& out) {
   if (subtype != Bgp4mpSubtype::kMessage && subtype != Bgp4mpSubtype::kMessageAs4) {
     throw WireError("not a BGP4MP message subtype");
   }
   ByteReader r(body);
-  Bgp4mpMessage out;
   decode_session(r, out, subtype == Bgp4mpSubtype::kMessageAs4);
-  const auto msg = r.bytes(r.remaining());
-  out.bgp_message.assign(msg.begin(), msg.end());
-  return out;
+  out.bgp_message.clear();
+  return r.bytes(r.remaining());
 }
 
 std::vector<std::uint8_t> Bgp4mpStateChange::encode() const {

@@ -40,6 +40,13 @@ struct Bgp4mpMessage {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static Bgp4mpMessage decode(std::span<const std::uint8_t> body, Bgp4mpSubtype subtype);
 
+  /// Decodes the session fields of `body` into `out` and returns the
+  /// captured BGP message as a view into `body`, so a caller that parses the
+  /// message in place copies nothing. `out.bgp_message` is cleared; `decode`
+  /// is this call plus the copy.
+  static std::span<const std::uint8_t> decode_into(std::span<const std::uint8_t> body,
+                                                   Bgp4mpSubtype subtype, Bgp4mpMessage& out);
+
   friend bool operator==(const Bgp4mpMessage&, const Bgp4mpMessage&) = default;
 };
 

@@ -4,7 +4,7 @@
 
 namespace bgpcu::mrt {
 
-std::optional<RawRecord> MrtReader::next() {
+std::optional<RecordView> MrtReader::next_view() {
   constexpr std::size_t kHeaderSize = 12;
   if (reader_.remaining() == 0) return std::nullopt;
   if (reader_.remaining() < kHeaderSize) {
@@ -12,7 +12,7 @@ std::optional<RawRecord> MrtReader::next() {
     reader_.skip(reader_.remaining());
     return std::nullopt;
   }
-  RawRecord rec;
+  RecordView rec;
   rec.timestamp = reader_.u32();
   rec.type = reader_.u16();
   rec.subtype = reader_.u16();
@@ -23,10 +23,17 @@ std::optional<RawRecord> MrtReader::next() {
     reader_.skip(reader_.remaining());
     return std::nullopt;
   }
-  const auto body = reader_.bytes(length);
-  rec.body.assign(body.begin(), body.end());
+  rec.body = reader_.bytes(length);
+  records_end_ = reader_.position();
   ++stats_.records;
   return rec;
+}
+
+std::optional<RawRecord> MrtReader::next() {
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  return RawRecord{view->timestamp, view->type, view->subtype,
+                   std::vector<std::uint8_t>(view->body.begin(), view->body.end())};
 }
 
 std::vector<std::uint8_t> load_file(const std::string& path) {

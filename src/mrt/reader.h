@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,16 +31,25 @@ class MrtReader {
  public:
   explicit MrtReader(std::span<const std::uint8_t> data) : reader_(data) {}
 
-  /// Returns the next record, or nullopt at end of input. Throws WireError
-  /// only when the *framing* is damaged beyond recovery (truncated header
-  /// mid-stream is reported via stats instead).
+  /// Returns the next record with its body viewed in place, or nullopt at
+  /// end of input. A truncated tail (partial header or body) ends the input
+  /// and is reported via stats; framing never throws.
+  std::optional<RecordView> next_view();
+
+  /// `next_view` with the body copied into an owning record.
   std::optional<RawRecord> next();
 
   [[nodiscard]] const ReaderStats& stats() const noexcept { return stats_; }
 
+  /// Offset just past the last record returned. Once the reader is drained
+  /// this is the length of the prefix covered by complete records, which is
+  /// where a tail reader resumes when the writer finishes the partial one.
+  [[nodiscard]] std::size_t records_end() const noexcept { return records_end_; }
+
  private:
   bgp::ByteReader reader_;
   ReaderStats stats_;
+  std::size_t records_end_ = 0;
 };
 
 /// Loads a file's raw bytes (the shared helper behind the file-based

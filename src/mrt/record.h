@@ -4,6 +4,7 @@
 #define BGPCU_MRT_RECORD_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bgp/wire.h"
@@ -30,6 +31,17 @@ enum class Bgp4mpSubtype : std::uint16_t {
   kMessage = 1,
   kMessageAs4 = 4,
   kStateChangeAs4 = 5,
+};
+
+/// One MRT record as framed in a borrowed buffer: the common header fields
+/// plus a view of the body. Valid only while the buffer is.
+struct RecordView {
+  std::uint32_t timestamp = 0;  ///< Seconds since the UNIX epoch.
+  std::uint16_t type = 0;
+  std::uint16_t subtype = 0;
+  std::span<const std::uint8_t> body;
+
+  [[nodiscard]] MrtType mrt_type() const noexcept { return static_cast<MrtType>(type); }
 };
 
 /// One MRT record: common header fields plus the raw body. Decoding of the

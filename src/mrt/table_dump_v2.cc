@@ -87,24 +87,31 @@ std::vector<std::uint8_t> RibRecord::encode() const {
 }
 
 RibRecord RibRecord::decode(std::span<const std::uint8_t> body, TableDumpV2Subtype subtype) {
-  ByteReader r(body);
   RibRecord out;
+  decode_into(body, subtype, out);
+  return out;
+}
+
+void RibRecord::decode_into(std::span<const std::uint8_t> body, TableDumpV2Subtype subtype,
+                            RibRecord& out) {
+  ByteReader r(body);
   out.sequence = r.u32();
   const auto afi =
       subtype == TableDumpV2Subtype::kRibIpv4Unicast ? bgp::Afi::kIpv4 : bgp::Afi::kIpv6;
   out.prefix = bgp::Prefix::decode_nlri(r, afi);
   const std::uint16_t count = r.u16();
-  out.entries.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    RibEntry entry;
+  // Grown one entry at a time rather than resized to `count` up front: a
+  // corrupt count must not construct 65535 entries before the walk fails.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i == out.entries.size()) out.entries.emplace_back();
+    RibEntry& entry = out.entries[i];
     entry.peer_index = r.u16();
     entry.originated_time = r.u32();
     const std::uint16_t attr_len = r.u16();
-    entry.attributes = bgp::PathAttributes::decode(r.sub(attr_len), /*four_byte=*/true);
-    out.entries.push_back(std::move(entry));
+    bgp::PathAttributes::decode_into(r.sub(attr_len), /*four_byte=*/true, entry.attributes);
   }
+  out.entries.resize(count);
   if (!r.exhausted()) throw WireError("trailing bytes after RIB record");
-  return out;
 }
 
 }  // namespace bgpcu::mrt

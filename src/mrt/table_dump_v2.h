@@ -68,6 +68,11 @@ struct RibRecord {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static RibRecord decode(std::span<const std::uint8_t> body, TableDumpV2Subtype subtype);
 
+  /// `decode` into `out`, reusing its entries and their attribute buffers.
+  /// On a throw `out` is valid but unspecified.
+  static void decode_into(std::span<const std::uint8_t> body, TableDumpV2Subtype subtype,
+                          RibRecord& out);
+
   friend bool operator==(const RibRecord&, const RibRecord&) = default;
 };
 

@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "mrt/reader.h"
 #include "obs/trace.h"
 #include "obs/wellknown.h"
 
@@ -18,22 +19,15 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Length of the prefix of `data` covered by complete MRT records (12-byte
-/// common header + body). A trailing partial record is excluded, so a tail
-/// read can stop at a clean frame boundary and resume when the writer
-/// finishes the record.
+/// Length of the prefix of `data` covered by complete MRT records, as the
+/// reader frames them. A trailing partial record is excluded, so a tail read
+/// can stop at a clean frame boundary and resume when the writer finishes
+/// the record.
 std::size_t complete_record_prefix(std::span<const std::uint8_t> data) {
-  constexpr std::size_t kHeaderSize = 12;
-  std::size_t pos = 0;
-  while (data.size() - pos >= kHeaderSize) {
-    const std::uint32_t length = (static_cast<std::uint32_t>(data[pos + 8]) << 24) |
-                                 (static_cast<std::uint32_t>(data[pos + 9]) << 16) |
-                                 (static_cast<std::uint32_t>(data[pos + 10]) << 8) |
-                                 static_cast<std::uint32_t>(data[pos + 11]);
-    if (data.size() - pos - kHeaderSize < length) break;
-    pos += kHeaderSize + length;
+  mrt::MrtReader framing(data);
+  while (framing.next_view()) {
   }
-  return pos;
+  return framing.records_end();
 }
 
 /// The file's inode, or 0 when it cannot be stat'ed.

@@ -68,7 +68,7 @@ TEST(UpdateMessage, TwoVsFourByteEncodingDiffer) {
   const auto wire4 = u.encode(true);
   EXPECT_NE(wire2, wire4);
   const auto decoded2 = UpdateMessage::decode(wire2, false);
-  EXPECT_EQ(decoded2.attributes.as_path->sequence_asns(), (std::vector<Asn>{10, kAsTrans}));
+  EXPECT_EQ(decoded2.attributes.as_path, AsPath::from_sequence({10, kAsTrans}));
 }
 
 TEST(OpenMessage, RoundTrip) {
@@ -96,6 +96,17 @@ TEST(PeekHeader, RejectsUnknownType) {
   wire[17] = 19;
   wire[18] = 9;  // bogus type
   EXPECT_THROW((void)peek_header(wire), WireError);
+}
+
+TEST(UpdateMessage, DecodeIntoAReusedMessageMatchesDecode) {
+  UpdateMessage withdrawals;
+  withdrawals.withdrawn = {Prefix::parse("192.0.2.0/24"), Prefix::parse("192.0.3.0/24")};
+  auto announce = sample_update();
+  UpdateMessage reused;
+  for (const auto* u : {&withdrawals, &announce, &withdrawals}) {
+    UpdateMessage::decode_into(u->encode(true), true, reused);
+    EXPECT_EQ(reused, *u);
+  }
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ PathAttributes round_trip(const PathAttributes& attrs, bool four_byte) {
 TEST(AsPath, SequenceHelpers) {
   auto p = AsPath::from_sequence({10, 20, 30});
   EXPECT_FALSE(p.has_as_set());
-  EXPECT_EQ(p.sequence_asns(), (std::vector<Asn>{10, 20, 30}));
+  EXPECT_EQ(p.to_string(), "10 20 30");
   EXPECT_EQ(p.first_asn(), 10u);
   p.prepend(5);
   EXPECT_EQ(p.first_asn(), 5u);
@@ -24,7 +24,7 @@ TEST(AsPath, SequenceHelpers) {
 TEST(AsPath, AsSetHandling) {
   AsPath p({{SegmentType::kAsSequence, {10, 20}}, {SegmentType::kAsSet, {30, 40}}});
   EXPECT_TRUE(p.has_as_set());
-  EXPECT_EQ(p.sequence_asns(), (std::vector<Asn>{10, 20})) << "sets dropped from flattening";
+  EXPECT_EQ(p.first_asn(), 10u);
   EXPECT_EQ(p.to_string(), "10 20 {30,40}");
 }
 
@@ -40,7 +40,7 @@ TEST(AsPath, TwoByteEncodingSubstitutesAsTrans) {
   ByteWriter w;
   p.encode(w, /*four_byte=*/false);
   const auto decoded = AsPath::decode(ByteReader(w.buffer()), false);
-  EXPECT_EQ(decoded.sequence_asns(), (std::vector<Asn>{10, kAsTrans}));
+  EXPECT_EQ(decoded, AsPath::from_sequence({10, kAsTrans}));
 }
 
 TEST(AsPath, DecodeRejectsUnknownSegmentType) {
@@ -138,6 +138,32 @@ TEST(PathAttributes, InnerLengthCannotEscapeAttributeBody) {
   w.u8(8);  // claims 8 bytes
   w.u32(0x000A0001);  // provides only 4
   EXPECT_THROW((void)PathAttributes::decode(ByteReader(w.buffer()), true), WireError);
+}
+
+TEST(PathAttributes, DecodeIntoResetsEveryField) {
+  PathAttributes full;
+  full.origin = Origin::kEgp;
+  full.as_path = AsPath({{SegmentType::kAsSequence, {10, 20}}, {SegmentType::kAsSet, {30, 40}}});
+  full.next_hop = 0xC0000201;
+  full.med = 50;
+  full.local_pref = 100;
+  full.atomic_aggregate = true;
+  full.aggregator = {20, 0x0A000001};
+  full.communities = {CommunityValue::regular(10, 1)};
+  full.large_communities = {CommunityValue::large(20, 1, 2)};
+  full.unknown.push_back(UnknownAttribute{0xC0, 99, {1, 2, 3}});
+  PathAttributes no_path;
+  no_path.communities = {CommunityValue::regular(30, 3)};
+  PathAttributes short_path;
+  short_path.as_path = AsPath::from_sequence({50});
+
+  PathAttributes reused;
+  for (const auto* attrs : {&full, &no_path, &full, &short_path}) {
+    ByteWriter w;
+    attrs->encode(w, true);
+    PathAttributes::decode_into(ByteReader(w.buffer()), true, reused);
+    EXPECT_EQ(reused, *attrs);
+  }
 }
 
 }  // namespace

@@ -71,5 +71,24 @@ TEST(Bgp4mpStateChange, OutOfRangeStateRejected) {
   EXPECT_THROW((void)Bgp4mpStateChange::decode(body, change.subtype()), bgp::WireError);
 }
 
+TEST(Bgp4mpMessage, DecodeIntoViewsTheMessageInPlace) {
+  auto v6 = sample_message();
+  v6.ipv6 = true;
+  v6.peer_ip.fill(0x20);
+  v6.local_ip.fill(0x21);
+  auto v4 = sample_message(false);
+
+  Bgp4mpMessage reused;
+  for (const auto* m : {&v6, &v4}) {
+    const auto body = m->encode();
+    const auto message = Bgp4mpMessage::decode_into(body, m->subtype(), reused);
+    EXPECT_GE(message.data(), body.data());
+    EXPECT_EQ(message.data() + message.size(), body.data() + body.size()) << "a view, no copy";
+    EXPECT_TRUE(reused.bgp_message.empty());
+    reused.bgp_message.assign(message.begin(), message.end());
+    EXPECT_EQ(reused, *m) << "no IPv6 address bytes survive into the IPv4 session";
+  }
+}
+
 }  // namespace
 }  // namespace bgpcu::mrt

@@ -1,9 +1,11 @@
 // Corruption robustness: random byte flips over a valid MRT dump must never
 // crash the reader or the extraction pipeline — malformed records are
 // counted and skipped (the property a tool parsing terabytes of third-party
-// archives lives or dies by).
+// archives lives or dies by) — and the extractor must count and keep exactly
+// what the reference extractor does on the same damaged bytes.
 #include <gtest/gtest.h>
 
+#include "../collector/reference_extract.h"
 #include "bgp/message.h"
 #include "collector/extract.h"
 #include "mrt/reader.h"
@@ -68,17 +70,22 @@ TEST_P(MrtFuzz, RandomByteFlipsNeverCrashExtraction) {
   reg.allocate_asn_range(1, 4294967293u);
   reg.allocate_prefix(bgp::Prefix::ipv4(0, 0));
   topology::Rng rng(GetParam() ^ 0xF00Dull);
+  std::uint64_t decode_errors = 0;
   for (int round = 0; round < 50; ++round) {
     auto corrupted = dump;
     const auto flips = 1 + rng.below(12);
     for (std::uint64_t i = 0; i < flips; ++i) {
       corrupted[rng.below(corrupted.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
     }
-    collector::DatasetBuilder builder(reg);
-    builder.add_dump(corrupted);  // must not throw or crash
-    const auto bundle = builder.finish();
-    EXPECT_LE(bundle.dataset.size(), 200u);
+    // Must not throw or crash, and must match the reference.
+    const std::vector<std::vector<std::uint8_t>> dumps = {corrupted};
+    const auto both = collector::reference::extract_both(reg, dumps);
+    EXPECT_TRUE(collector::reference::same_bundle(both.reference, both.builder))
+        << "round " << round;
+    EXPECT_LE(both.builder.dataset.size(), 200u);
+    decode_errors += both.builder.extraction.decode_errors;
   }
+  EXPECT_GT(decode_errors, 0u) << "the flips reach the typed decoders";
 }
 
 TEST_P(MrtFuzz, TruncationAtEveryBoundaryIsHandled) {
@@ -90,9 +97,10 @@ TEST_P(MrtFuzz, TruncationAtEveryBoundaryIsHandled) {
   for (int round = 0; round < 30; ++round) {
     const auto cut = rng.below(dump.size());
     std::vector<std::uint8_t> truncated(dump.begin(), dump.begin() + static_cast<long>(cut));
-    collector::DatasetBuilder builder(reg);
-    builder.add_dump(truncated);
-    (void)builder.finish();
+    const std::vector<std::vector<std::uint8_t>> dumps = {truncated};
+    const auto both = collector::reference::extract_both(reg, dumps);
+    EXPECT_TRUE(collector::reference::same_bundle(both.reference, both.builder))
+        << "cut at " << cut;
   }
 }
 

@@ -96,5 +96,38 @@ TEST(MrtFileReader, MissingFileThrows) {
   EXPECT_THROW(MrtFileReader("/nonexistent/path/to.mrt"), bgp::WireError);
 }
 
+TEST(MrtReader, NextViewBorrowsTheBody) {
+  MrtWriter writer;
+  writer.write(sample_record(7));
+  const auto& buf = writer.buffer();
+  MrtReader reader(buf);
+  const auto view = reader.next_view();
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->timestamp, 7u);
+  EXPECT_EQ(view->mrt_type(), MrtType::kBgp4mp);
+  EXPECT_EQ(view->body.data(), buf.data() + 12);
+  EXPECT_EQ(std::vector<std::uint8_t>(view->body.begin(), view->body.end()),
+            sample_record().body);
+}
+
+TEST(MrtReader, RecordsEndStopsBeforeAPartialRecord) {
+  MrtWriter writer;
+  writer.write(sample_record());
+  writer.write(sample_record());
+  const auto whole = writer.buffer().size();
+  auto buf = writer.take();
+  buf.resize(buf.size() + 7, 0);  // a partial third header
+  MrtReader reader(buf);
+  while (reader.next_view()) {
+  }
+  EXPECT_EQ(reader.records_end(), whole);
+  buf.resize(whole - 1);  // now the second record's body is cut
+  MrtReader cut(buf);
+  while (cut.next_view()) {
+  }
+  EXPECT_EQ(cut.records_end(), whole / 2);
+  EXPECT_EQ(MrtReader(std::span<const std::uint8_t>()).records_end(), 0u);
+}
+
 }  // namespace
 }  // namespace bgpcu::mrt

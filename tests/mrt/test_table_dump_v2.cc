@@ -107,5 +107,29 @@ TEST(RibRecord, TrailingBytesRejected) {
                bgp::WireError);
 }
 
+TEST(RibRecord, DecodeIntoAReusedRecordMatchesDecode) {
+  // Three entries, then one without AS_PATH, then two: each decode_into
+  // into the same object must equal a fresh decode.
+  auto three = sample_rib();
+  three.entries.push_back(three.entries[0]);
+  three.entries.push_back(three.entries[0]);
+  three.entries[1].attributes.as_path = bgp::AsPath(
+      {{bgp::SegmentType::kAsSequence, {1299}}, {bgp::SegmentType::kAsSet, {64496, 64497}}});
+  RibRecord one;
+  one.prefix = bgp::Prefix::parse("198.51.100.0/24");
+  one.entries.emplace_back();
+  one.entries[0].peer_index = 3;
+  auto two = sample_rib();
+  two.entries.push_back(two.entries[0]);
+  two.entries[1].attributes.communities.clear();
+
+  RibRecord reused;
+  for (const auto* rib : {&three, &one, &two}) {
+    RibRecord::decode_into(rib->encode(), rib->subtype(), reused);
+    EXPECT_EQ(reused, *rib);
+    EXPECT_EQ(reused, RibRecord::decode(rib->encode(), rib->subtype()));
+  }
+}
+
 }  // namespace
 }  // namespace bgpcu::mrt

@@ -165,6 +165,20 @@ TEST_F(FeedTest, PartialAppendedRecordWaitsForCompletion) {
   const auto completed = feed.poll();
   ASSERT_EQ(completed.batch.size(), 1u);
   EXPECT_EQ(completed.batch[0].path, (std::vector<bgp::Asn>{30, 40}));
+
+  // A whole record and half of the next in one read: the poll consumes
+  // exactly up to the end of the whole one.
+  auto burst = encode_dump({50, 60}, "203.0.113.0/24");
+  const auto next = encode_dump({70, 80}, "198.51.100.0/24");
+  burst.insert(burst.end(), next.begin(), next.begin() + 20);
+  append_bytes("updates.0001.mrt", burst);
+  const auto first = feed.poll();
+  ASSERT_EQ(first.batch.size(), 1u);
+  EXPECT_EQ(first.batch[0].path, (std::vector<bgp::Asn>{50, 60}));
+  append_bytes("updates.0001.mrt", std::vector<std::uint8_t>(next.begin() + 20, next.end()));
+  const auto second = feed.poll();
+  ASSERT_EQ(second.batch.size(), 1u);
+  EXPECT_EQ(second.batch[0].path, (std::vector<bgp::Asn>{70, 80}));
 }
 
 TEST_F(FeedTest, ShrunkFileIsReadFromScratch) {

@@ -1,5 +1,5 @@
 // CLI contract tests for the real tool binaries (paths injected by CMake as
-// BGPCU_STREAM_BIN / BGPCU_QUERY_BIN): argument validation must fail fast
+// BGPCU_CLASSIFY_BIN / BGPCU_STREAM_BIN / ...): argument validation must fail fast
 // with a one-line error and exit code 2, and the happy path must produce
 // readable artifacts end to end through the Service facade and both codecs.
 #include <gtest/gtest.h>
@@ -79,6 +79,7 @@ SplitRunResult run_split(const std::string& command) {
   return result;
 }
 
+std::string classify_bin() { return BGPCU_CLASSIFY_BIN; }
 std::string stream_bin() { return BGPCU_STREAM_BIN; }
 std::string query_bin() { return BGPCU_QUERY_BIN; }
 std::string serve_bin() { return BGPCU_SERVE_BIN; }
@@ -196,11 +197,12 @@ TEST_F(CliTest, RejectsNonPlainAsnAndThresholdSpellings) {
     EXPECT_EQ(r.exit_code, 2) << "asn accepted '" << value << "'";
     EXPECT_NE(r.output.find("ASN must be"), std::string::npos) << r.output;
   }
-  for (const char* value : {" 0.99", "+0.99", "0.99 ", " .99", "0x1p-1", "infinity"}) {
-    const auto r =
-        run(stream_bin() + " --threshold '" + std::string(value) + "' '" + dir_.string() + "'");
-    EXPECT_EQ(r.exit_code, 2) << "--threshold accepted '" << value << "'";
-    EXPECT_NE(r.output.find("--threshold"), std::string::npos) << r.output;
+  for (const auto& bin : {stream_bin(), classify_bin()}) {
+    for (const char* value : {" 0.99", "+0.99", "0.99 ", " .99", "0x1p-1", "infinity"}) {
+      const auto r = run(bin + " --threshold '" + value + "' '" + dir_.string() + "'");
+      EXPECT_EQ(r.exit_code, 2) << bin << " --threshold accepted '" << value << "'";
+      EXPECT_NE(r.output.find("--threshold"), std::string::npos) << r.output;
+    }
   }
 }
 
@@ -211,11 +213,30 @@ TEST_F(CliTest, RejectsUnknownFlag) {
 }
 
 TEST_F(CliTest, RejectsMalformedThreshold) {
-  for (const char* bad : {"high", "nan", "inf", "0.2", "1.5"}) {
-    const auto r = run(stream_bin() + " --threshold " + bad + " '" + dir_.string() + "'");
-    EXPECT_EQ(r.exit_code, 2) << bad;
-    EXPECT_NE(r.output.find("--threshold"), std::string::npos) << r.output;
+  // Both tools parse the flag before reading any input.
+  for (const auto& bin : {stream_bin(), classify_bin()}) {
+    for (const char* bad : {"high", "nan", "inf", "0.2", "1.5", "0.9x"}) {
+      const auto r = run(bin + " --threshold " + bad + " '" + dir_.string() + "'");
+      EXPECT_EQ(r.exit_code, 2) << bin << ' ' << bad;
+      EXPECT_NE(r.output.find("--threshold"), std::string::npos) << r.output;
+    }
   }
+}
+
+TEST_F(CliTest, ClassifyOutputFileHoldsTheStdoutBytes) {
+  write_dump("updates.0001.mrt", {3356, 1299, 2914}, "203.0.113.0/24");
+  write_dump("updates.0002.mrt", {1299, 2914}, "198.51.100.0/24");
+  const auto dumps = "'" + (dir_ / "updates.0001.mrt").string() + "' '" +
+                     (dir_ / "updates.0002.mrt").string() + "'";
+  const auto printed = run_split(classify_bin() + " --threshold 0.9 " + dumps);
+  ASSERT_EQ(printed.exit_code, 0) << printed.err;
+  ASSERT_FALSE(printed.out.empty());
+  const auto db = dir_ / "classes.db";
+  const auto written =
+      run_split(classify_bin() + " --threshold 0.9 --output '" + db.string() + "' " + dumps);
+  ASSERT_EQ(written.exit_code, 0) << written.err;
+  EXPECT_TRUE(written.out.empty()) << written.out;
+  EXPECT_EQ(slurp(db), printed.out);
 }
 
 TEST_F(CliTest, RejectsUnknownFormat) {

@@ -27,6 +27,7 @@
 #include "core/vocabulary.h"
 #include "mrt/reader.h"
 #include "registry/registry.h"
+#include "util/cli.h"
 
 namespace {
 
@@ -59,11 +60,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threshold") {
-      threshold = std::atof(next());
-      if (threshold < 0.5 || threshold > 1.0) {
-        std::cerr << "--threshold must be in [0.5, 1.0]\n";
-        return 2;
-      }
+      threshold = util::parse_threshold_or_exit(next());
     } else if (arg == "--allocations") {
       allocations_path = next();
     } else if (arg == "--output") {

@@ -138,7 +138,14 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
               subtype != mrt::Bgp4mpSubtype::kMessageAs4) {
             break;  // state changes carry no routes
           }
-          const auto message = mrt::Bgp4mpMessage::decode_into(rec->body, subtype, message_);
+          auto body = rec->body;
+          if (rec->mrt_type() == mrt::MrtType::kBgp4mpEt) {
+            // RFC 6396 §3: an _ET body opens with a 4-byte microsecond
+            // timestamp, counted in the record length.
+            if (body.size() < 4) throw bgp::WireError("BGP4MP_ET body shorter than 4 bytes");
+            body = body.subspan(4);
+          }
+          const auto message = mrt::Bgp4mpMessage::decode_into(body, subtype, message_);
           const auto header = bgp::peek_header(message);
           if (header.type != bgp::MessageType::kUpdate) break;
           ++bundle_.extraction.update_messages;

@@ -47,6 +47,10 @@ Metrics& metrics() {
                       "Add+remove journal pairs cancelled before a drain"),
         .stream_journal_overflows = r.counter("bgpcu_stream_journal_overflows_total",
                                               "Shard journal overflows (forced rebuilds)"),
+        .stream_evict_ns =
+            r.histogram("bgpcu_stream_evict_duration_ns",
+                        "Window eviction time per epoch advance (exclusive lock held), "
+                        "nanoseconds"),
         // snapshot pipeline
         .snapshot_sweeps =
             r.counter("bgpcu_snapshot_sweeps_total", "Cold snapshots (collected + swept)"),

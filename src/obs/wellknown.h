@@ -33,6 +33,7 @@ struct Metrics {
   Counter& stream_journal_deltas;
   Counter& stream_journal_dedups;
   Counter& stream_journal_overflows;
+  Histogram& stream_evict_ns;
 
   // --- snapshot pipeline (StreamEngine::snapshot) ---
   Counter& snapshot_sweeps;

@@ -107,6 +107,7 @@ Epoch StreamEngine::advance_epoch() {
   const Epoch next = epoch_.load(std::memory_order_relaxed) + 1;
   epoch_.store(next, std::memory_order_relaxed);
   if (config_.window_epochs != 0 && next >= config_.window_epochs) {
+    obs::StageTimer evict_span(obs::metrics().stream_evict_ns);
     const Epoch min_epoch = next - config_.window_epochs + 1;
     std::uint64_t evicted = 0;
     for (auto& shard : shards_) evicted += shard->evict_older_than(min_epoch);

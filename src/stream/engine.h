@@ -122,7 +122,10 @@ class StreamEngine {
   IngestStats ingest(core::Dataset batch);
 
   /// Advances to the next epoch and evicts tuples that fell out of the
-  /// window (no-op eviction when window_epochs == 0). Returns the new epoch.
+  /// window (no-op eviction when window_epochs == 0). Each shard pops its
+  /// expired tuples off its recency list, so the cost is proportional to the
+  /// tuples that expire; the eviction is timed into
+  /// bgpcu_stream_evict_duration_ns. Returns the new epoch.
   Epoch advance_epoch();
 
   [[nodiscard]] Epoch epoch() const;

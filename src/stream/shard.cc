@@ -1,5 +1,6 @@
 #include "stream/shard.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/wellknown.h"
@@ -70,6 +71,31 @@ void TupleShard::journal_push(core::IndexDelta&& delta) {
   obs::metrics().stream_journal_deltas.add(1, lane_);
 }
 
+void TupleShard::link_newest(Node* node) noexcept {
+  node->second.older = newest_;
+  node->second.newer = nullptr;
+  if (newest_ != nullptr) {
+    newest_->second.newer = node;
+  } else {
+    oldest_ = node;
+  }
+  newest_ = node;
+}
+
+void TupleShard::unlink(Node* node) noexcept {
+  auto& meta = node->second;
+  if (meta.older != nullptr) {
+    meta.older->second.newer = meta.newer;
+  } else {
+    oldest_ = meta.newer;
+  }
+  if (meta.newer != nullptr) {
+    meta.newer->second.older = meta.older;
+  } else {
+    newest_ = meta.older;
+  }
+}
+
 void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
                               IngestStats& stats) {
   const IngestStats before = stats;
@@ -78,11 +104,17 @@ void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
   for (auto& prepared : batch) {
     const bgp::Asn peer = prepared.tuple.peer();
     auto [it, inserted] = tuples_.try_emplace(std::move(prepared.tuple));
+    Node* const node = &*it;
     if (!inserted) {
       if (it->second.last_seen == epoch) {
         ++stats.duplicates;
       } else {
+        // Epochs never go back, so the refreshed tuple is now the newest.
         it->second.last_seen = epoch;
+        if (node != newest_) {
+          unlink(node);
+          link_newest(node);
+        }
         ++stats.refreshed;
       }
       continue;
@@ -91,6 +123,7 @@ void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
     it->second.last_seen = epoch;
     it->second.key = next_key_;
     next_key_ += key_stride_;
+    link_newest(node);
     if (journal_enabled_) {
       journal_push({core::IndexDelta::Kind::kAdd, it->second.key, prepared.upper_mask,
                     it->first.path});
@@ -116,15 +149,12 @@ void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
 std::size_t TupleShard::evict_older_than(Epoch min_epoch) {
   const std::lock_guard lock(mutex_);
   std::size_t evicted = 0;
-  for (auto it = tuples_.begin(); it != tuples_.end();) {
-    if (it->second.last_seen >= min_epoch) {
-      ++it;
-      continue;
-    }
-    const auto live_it = live_.find(it->first.peer());
+  while (oldest_ != nullptr && oldest_->second.last_seen < min_epoch) {
+    Node* const node = oldest_;
+    const auto live_it = live_.find(node->first.peer());
     if (live_it != live_.end()) {
       auto& k = live_it->second;
-      if ((it->second.upper_mask & 1u) != 0) {
+      if ((node->second.upper_mask & 1u) != 0) {
         --k.t;
       } else {
         --k.s;
@@ -132,9 +162,10 @@ std::size_t TupleShard::evict_older_than(Epoch min_epoch) {
       if ((k.t | k.s | k.f | k.c) == 0) live_.erase(live_it);
     }
     if (journal_enabled_) {
-      journal_push({core::IndexDelta::Kind::kRemove, it->second.key, 0, {}});
+      journal_push({core::IndexDelta::Kind::kRemove, node->second.key, 0, {}});
     }
-    it = tuples_.erase(it);
+    unlink(node);
+    tuples_.erase(tuples_.find(node->first));
     ++evicted;
   }
   if (evicted != 0) {
@@ -186,8 +217,8 @@ void TupleShard::export_live(std::vector<core::IndexDelta>& out) const {
 void TupleShard::export_tuples(std::vector<StoredTuple>& out) const {
   const std::lock_guard lock(mutex_);
   out.reserve(out.size() + tuples_.size());
-  for (const auto& [tuple, meta] : tuples_) {
-    out.push_back({tuple, meta.last_seen, meta.key});
+  for (const Node* node = oldest_; node != nullptr; node = node->second.newer) {
+    out.push_back({node->first, node->second.last_seen, node->second.key});
   }
 }
 
@@ -199,6 +230,8 @@ std::uint64_t TupleShard::next_key() const {
 void TupleShard::restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t next_key) {
   const std::lock_guard lock(mutex_);
   tuples_.clear();
+  oldest_ = nullptr;
+  newest_ = nullptr;
   live_.clear();
   journal_.clear();
   cancelled_.clear();
@@ -206,6 +239,16 @@ void TupleShard::restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t n
   cancelled_in_journal_ = 0;
   journal_overflowed_ = false;
   next_key_ = next_key;
+  // Linking in input order keeps the list sorted only if the input is. Our
+  // own exports are; a hash-order checkpoint or a re-sharded bucket is not.
+  // Sorting the input before the inserts keeps recovery to one pass over
+  // the nodes; stable, so equal epochs keep their exported order.
+  const auto by_last_seen = [](const StoredTuple& a, const StoredTuple& b) {
+    return a.last_seen < b.last_seen;
+  };
+  if (!std::is_sorted(tuples.begin(), tuples.end(), by_last_seen)) {
+    std::stable_sort(tuples.begin(), tuples.end(), by_last_seen);
+  }
   for (auto& stored : tuples) {
     const auto view = core::TupleView::prepare(stored.tuple);
     if (!view) continue;  // Corrupt checkpoint row; the caller's live-count
@@ -216,6 +259,7 @@ void TupleShard::restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t n
     it->second.upper_mask = view->upper_mask;
     it->second.last_seen = stored.last_seen;
     it->second.key = stored.key;
+    link_newest(&*it);
     auto& k = live_[peer];
     if ((view->upper_mask & 1u) != 0) {
       ++k.t;

@@ -8,12 +8,18 @@
 // IncrementalIndex under the snapshot lock instead of rebuilding it. Each
 // shard carries its own mutex; cross-shard synchronization is the engine's
 // job.
+//
+// Window eviction costs O(tuples expiring), not O(tuples live): every live
+// tuple sits on an intrusive recency list ordered by last-seen epoch (the
+// map's own nodes are linked; std::unordered_map never moves an element), so
+// evict_older_than pops from the oldest end and never visits a survivor.
 #ifndef BGPCU_STREAM_SHARD_H
 #define BGPCU_STREAM_SHARD_H
 
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.h"
@@ -81,13 +87,19 @@ class TupleShard {
                       bool journal = true, std::size_t journal_cap = kJournalCap);
 
   /// Offers one tuple (communities must already be normalized). Thread-safe.
+  /// Precondition: `epoch` is no older than any epoch passed to an earlier
+  /// ingest or restore, which is what keeps the recency list sorted. The
+  /// engine guarantees it: it ingests only at its current epoch, read under
+  /// the shared lock, and advances that epoch under the exclusive lock.
   IngestOutcome ingest(core::PathCommTuple&& tuple, Epoch epoch);
 
   /// Offers a pre-partitioned batch under one lock acquisition; outcome
-  /// counts accumulate into `stats`. Thread-safe.
+  /// counts accumulate into `stats`. Thread-safe. Same epoch precondition
+  /// as ingest().
   void ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch, IngestStats& stats);
 
-  /// Removes tuples last seen before `min_epoch`; returns how many died.
+  /// Removes tuples last seen before `min_epoch`, oldest first, stopping at
+  /// the first survivor; returns how many died.
   std::size_t evict_older_than(Epoch min_epoch);
 
   /// Appends a view per live tuple to `out`. The views borrow the shard's
@@ -113,16 +125,19 @@ class TupleShard {
   /// from scratch after an overflow or apply failure. Thread-safe.
   void export_live(std::vector<core::IndexDelta>& out) const;
 
-  /// Appends one StoredTuple per live tuple (checkpoint export). Thread-safe.
+  /// Appends one StoredTuple per live tuple (checkpoint export), oldest
+  /// first: the output is in non-decreasing last_seen order. Thread-safe.
   void export_tuples(std::vector<StoredTuple>& out) const;
 
   /// Next key this shard would assign (checkpoint export). Thread-safe.
   [[nodiscard]] std::uint64_t next_key() const;
 
   /// Replaces the shard's contents with a checkpointed tuple set: masks are
-  /// recomputed, live peer-column counters rebuilt, journal state cleared
-  /// (recovery rebuilds the index separately). Tuples whose paths no longer
-  /// pass preparation (corrupt state) are dropped. Thread-safe.
+  /// recomputed, live peer-column counters rebuilt, the recency list relinked,
+  /// journal state cleared (recovery rebuilds the index separately). Input
+  /// not in last_seen order (a checkpoint written in hash order, or the
+  /// engine's re-shard path) is stable-sorted first. Tuples whose paths no
+  /// longer pass preparation (corrupt state) are dropped. Thread-safe.
   void restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t next_key);
 
   /// Live peer-column evidence for `asn` (t/s at path index 1); zero-valued
@@ -137,18 +152,32 @@ class TupleShard {
   [[nodiscard]] std::uint64_t version() const;
 
  private:
+  struct TupleMeta;
+  /// One element of tuples_; the recency list links these in place.
+  using Node = std::pair<const core::PathCommTuple, TupleMeta>;
+
   struct TupleMeta {
     std::uint32_t upper_mask = 0;
     Epoch last_seen = 0;
     std::uint64_t key = 0;  ///< Stable identity linking journal add/remove.
+    Node* older = nullptr;  ///< Recency-list neighbours; null at the ends.
+    Node* newer = nullptr;
   };
 
   /// Appends to the journal unless journaling is off or overflowed; flips
   /// into the overflowed state at the cap. Caller holds mutex_.
   void journal_push(core::IndexDelta&& delta);
 
+  /// Recency-list surgery. Caller holds mutex_.
+  void link_newest(Node* node) noexcept;
+  void unlink(Node* node) noexcept;
+
   mutable std::mutex mutex_;
   std::unordered_map<core::PathCommTuple, TupleMeta> tuples_;
+  /// Ends of the recency list over every node of tuples_, sorted by
+  /// last_seen (ties in accept/refresh order).
+  Node* oldest_ = nullptr;
+  Node* newest_ = nullptr;
   core::CounterMap live_;  ///< Peer-column t/s, one count per live tuple.
   std::uint64_t version_ = 0;
   std::uint64_t next_key_ = 0;

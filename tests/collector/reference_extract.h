@@ -60,7 +60,13 @@ class ReferenceBuilder {
                 subtype != mrt::Bgp4mpSubtype::kMessageAs4) {
               break;
             }
-            const auto msg = mrt::Bgp4mpMessage::decode(rec->body, subtype);
+            std::span<const std::uint8_t> body = rec->body;
+            if (rec->mrt_type() == mrt::MrtType::kBgp4mpEt) {
+              // RFC 6396 §3: the microsecond timestamp heads an _ET body.
+              if (body.size() < 4) throw bgp::WireError("BGP4MP_ET body shorter than 4 bytes");
+              body = body.subspan(4);
+            }
+            const auto msg = mrt::Bgp4mpMessage::decode(body, subtype);
             const auto header = bgp::peek_header(msg.bgp_message);
             if (header.type != bgp::MessageType::kUpdate) break;
             ++bundle_.extraction.update_messages;

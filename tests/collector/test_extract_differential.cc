@@ -92,6 +92,23 @@ std::vector<std::uint8_t> update_dump(bgp::Asn peer, std::vector<std::uint8_t> m
   return writer.take();
 }
 
+/// update_dump's record as BGP4MP_ET: the same body behind RFC 6396's
+/// 4-byte microsecond timestamp.
+std::vector<std::uint8_t> et_update_dump(bgp::Asn peer, std::vector<std::uint8_t> message) {
+  const auto msg =
+      mrt::Bgp4mpMessage::ipv4_session(peer, 65000, 0xC0A80001, 0xC0A80002, std::move(message));
+  mrt::RawRecord rec;
+  rec.timestamp = kTimestamp;
+  rec.type = static_cast<std::uint16_t>(mrt::MrtType::kBgp4mpEt);
+  rec.subtype = static_cast<std::uint16_t>(msg.subtype());
+  rec.body = {0x00, 0x07, 0xA1, 0x20};  // 500,000 µs
+  const auto body = msg.encode();
+  rec.body.insert(rec.body.end(), body.begin(), body.end());
+  mrt::MrtWriter writer;
+  writer.write(rec);
+  return writer.take();
+}
+
 mrt::PeerIndexTable one_peer_table(bgp::Asn asn) {
   mrt::PeerIndexTable table;
   table.view_name = "diff";
@@ -287,6 +304,41 @@ TEST(ExtractDifferential, TwoByteAsBgp4mpMessage) {
   EXPECT_TRUE(both.builder.raw_asns.contains(bgp::kAsTrans));
   ASSERT_EQ(both.builder.dataset.size(), 1u);
   EXPECT_EQ(both.builder.dataset[0].path, (std::vector<bgp::Asn>{10, 20, 30}));
+}
+
+TEST(ExtractDifferential, Bgp4mpEtRecordYieldsThePlainRecordsBundle) {
+  const auto reg = hand_registry();
+  bgp::UpdateMessage update;
+  update.attributes.as_path = bgp::AsPath::from_sequence({10, 20, 30});
+  update.attributes.communities = {comm(10, 7), comm(20, 1)};
+  update.nlri = {bgp::Prefix::parse("10.1.0.0/16"), bgp::Prefix::parse("10.2.0.0/16")};
+
+  const auto plain = extract_both(reg, Dumps{update_dump(10, update.encode(true))});
+  const auto et = extract_both(reg, Dumps{et_update_dump(10, update.encode(true))});
+  EXPECT_TRUE(same_bundle(et.reference, et.builder));
+  EXPECT_TRUE(same_bundle(plain.builder, et.builder));
+  EXPECT_EQ(et.builder.extraction.decode_errors, 0u);
+  EXPECT_EQ(et.builder.extraction.update_messages, 1u);
+  EXPECT_EQ(et.builder.extraction.entries_total, 2u);
+  ASSERT_EQ(et.builder.dataset.size(), 1u);
+  EXPECT_EQ(et.builder.dataset[0].path, (std::vector<bgp::Asn>{10, 20, 30}));
+}
+
+TEST(ExtractDifferential, Bgp4mpEtBodyShorterThanItsTimestampCountsOneDecodeError) {
+  const auto reg = hand_registry();
+  mrt::RawRecord rec;
+  rec.timestamp = kTimestamp;
+  rec.type = static_cast<std::uint16_t>(mrt::MrtType::kBgp4mpEt);
+  rec.subtype = static_cast<std::uint16_t>(mrt::Bgp4mpSubtype::kMessageAs4);
+  rec.body = {0x00, 0x07, 0xA1};
+  mrt::MrtWriter writer;
+  writer.write(rec);
+
+  const auto both = extract_both(reg, Dumps{writer.take()});
+  EXPECT_TRUE(same_bundle(both.reference, both.builder));
+  EXPECT_EQ(both.builder.extraction.decode_errors, 1u);
+  EXPECT_EQ(both.builder.extraction.update_messages, 0u);
+  EXPECT_TRUE(both.builder.dataset.empty());
 }
 
 TEST(ExtractDifferential, TuplesSharingADigestAreBothKept) {

@@ -378,6 +378,99 @@ TEST(StreamEngine, SnapshotCountersTrackLockedPhaseAndMaintenance) {
             locked_last + static_cast<std::uint64_t>(m.snapshot_locked_last_ns.value()));
 }
 
+TEST(StreamEngine, EvictDurationObservedOncePerEvictingAdvance) {
+  auto& m = obs::metrics();
+  const auto observed = m.stream_evict_ns.count();
+  StreamEngine windowed({.shards = 2, .window_epochs = 2});
+  StreamEngine unbounded({.shards = 2, .window_epochs = 0});
+  (void)windowed.ingest({tuple({1, 2}), tuple({3, 4})});
+  (void)unbounded.ingest({tuple({1, 2}), tuple({3, 4})});
+
+  windowed.advance_epoch();  // epoch 1 < window: no eviction runs
+  EXPECT_EQ(m.stream_evict_ns.count() - observed, 0u);
+  windowed.advance_epoch();  // epoch 2: evicts the epoch-0 tuples
+  EXPECT_EQ(m.stream_evict_ns.count() - observed, 1u);
+  windowed.advance_epoch();  // epoch 3: runs again, with nothing left to evict
+  EXPECT_EQ(m.stream_evict_ns.count() - observed, 2u);
+  EXPECT_EQ(windowed.evicted_total(), 2u);
+
+  for (int i = 0; i < 5; ++i) unbounded.advance_epoch();
+  EXPECT_EQ(m.stream_evict_ns.count() - observed, 2u) << "window 0 never evicts";
+}
+
+TEST(StreamEngine, IngestRacingEvictionAndSnapshotsStaysInWindow) {
+  // Two ingest threads offer overlapping tuples while a third advances the
+  // epoch under a 2-epoch window and a fourth takes snapshots, so refreshes
+  // relink shard recency lists while evictions pop them. Afterwards every
+  // live tuple must be inside the window and the snapshot must equal a
+  // batch run over the live set.
+  constexpr std::uint64_t kWindow = 2;
+  constexpr int kRounds = 150;
+  StreamEngine engine({.shards = 4, .window_epochs = kWindow});
+  core::Dataset universe;
+  for (int i = 0; i < 240; ++i) {
+    universe.push_back(tuple({static_cast<bgp::Asn>(1 + i % 13), static_cast<bgp::Asn>(40 + i % 7),
+                              static_cast<bgp::Asn>(100 + i)},
+                             {bgp::CommunityValue::regular(
+                                 static_cast<std::uint16_t>(1 + i % 13), 1)}));
+  }
+
+  // Pacing, so the threads interleave whatever the scheduler does: an
+  // ingester runs at most four rounds per epoch, and the advancer advances
+  // only after some ingester has finished a round since its last advance.
+  std::atomic<int> rounds_done{0};
+  std::atomic<int> ingesting{2};
+  const auto ingester = [&](std::size_t offset) {
+    for (int round = 0; round < kRounds; ++round) {
+      while (engine.epoch() < static_cast<Epoch>(round / 4)) std::this_thread::yield();
+      core::Dataset batch;
+      for (std::size_t i = 0; i < 16; ++i) {
+        batch.push_back(universe[(offset + static_cast<std::size_t>(round) * 16 + i * 3) %
+                                 universe.size()]);
+      }
+      (void)engine.ingest(std::move(batch));
+      rounds_done.fetch_add(1);
+    }
+    ingesting.fetch_sub(1);
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.emplace_back(ingester, 0);
+    threads.emplace_back(ingester, 8);  // overlaps the first thread's tuples
+    threads.emplace_back([&] {
+      int seen = 0;
+      while (ingesting.load() != 0) {
+        const int done = rounds_done.load();
+        if (done == seen) {
+          std::this_thread::yield();
+          continue;
+        }
+        seen = done;
+        engine.advance_epoch();
+      }
+    });
+    threads.emplace_back([&] {
+      while (ingesting.load() != 0) (void)engine.snapshot();
+    });
+  }
+
+  const auto state = engine.checkpoint_state().state;
+  const Epoch epoch = engine.epoch();
+  const Epoch min_epoch = epoch >= kWindow ? epoch - kWindow + 1 : 0;
+  core::Dataset live;
+  for (const auto& shard : state.shards) {
+    for (const auto& stored : shard.tuples) {
+      EXPECT_GE(stored.last_seen, min_epoch);
+      EXPECT_LE(stored.last_seen, epoch);
+      live.push_back(stored.tuple);
+    }
+  }
+  EXPECT_EQ(live.size(), engine.live_tuples());
+  core::deduplicate(live);
+  EXPECT_EQ(live.size(), engine.live_tuples());
+  expect_equal(*engine.snapshot(), core::ColumnEngine().run(live));
+}
+
 TEST(StreamEngine, JournalOverflowFallsBackToOneRebuild) {
   // A cap smaller than the batch: the journal overflows before the first
   // snapshot, which must rebuild from shard state (counted in

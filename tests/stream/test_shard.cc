@@ -79,6 +79,51 @@ TEST(TupleShard, RefreshProtectsFromEviction) {
   EXPECT_EQ(shard.size(), 1u);
 }
 
+TEST(TupleShard, RefreshedOldTupleOutlivesNewerUnrefreshedOne) {
+  TupleShard shard;
+  (void)shard.ingest(tuple({10, 1}), 0);  // old, refreshed below
+  (void)shard.ingest(tuple({10, 2}), 1);  // newer, never refreshed
+  EXPECT_EQ(shard.ingest(tuple({10, 1}), 2), IngestOutcome::kRefreshed);
+  EXPECT_EQ(shard.evict_older_than(2), 1u);
+  std::vector<StoredTuple> live;
+  shard.export_tuples(live);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].tuple.path, (std::vector<bgp::Asn>{10, 1}));
+  EXPECT_EQ(live[0].last_seen, 2u);
+}
+
+TEST(TupleShard, EvictionStopsAtFirstSurvivor) {
+  TupleShard shard;
+  for (Epoch e = 0; e < 4; ++e) {
+    (void)shard.ingest(tuple({10, static_cast<bgp::Asn>(100 + e)}), e);
+    (void)shard.ingest(tuple({20, static_cast<bgp::Asn>(100 + e)}), e);
+  }
+  EXPECT_EQ(shard.evict_older_than(2), 4u);  // epochs 0 and 1
+  EXPECT_EQ(shard.evict_older_than(2), 0u);  // the oldest is now a survivor
+  std::vector<StoredTuple> live;
+  shard.export_tuples(live);
+  ASSERT_EQ(live.size(), 4u);
+  for (const auto& stored : live) EXPECT_GE(stored.last_seen, 2u);
+}
+
+TEST(TupleShard, ExportComesOutInLastSeenOrder) {
+  TupleShard shard;
+  (void)shard.ingest(tuple({10, 1}), 0);
+  (void)shard.ingest(tuple({10, 2}), 0);
+  (void)shard.ingest(tuple({10, 3}), 1);
+  (void)shard.ingest(tuple({10, 1}), 2);  // refresh moves it to the new end
+  (void)shard.ingest(tuple({10, 4}), 2);
+  (void)shard.ingest(tuple({10, 2}), 3);
+  std::vector<StoredTuple> live;
+  shard.export_tuples(live);
+  ASSERT_EQ(live.size(), 4u);
+  std::vector<Epoch> seen;
+  for (const auto& stored : live) seen.push_back(stored.last_seen);
+  EXPECT_EQ(seen, (std::vector<Epoch>{1, 2, 2, 3}));
+  EXPECT_EQ(live[1].tuple.path, (std::vector<bgp::Asn>{10, 1}));  // refreshed first
+  EXPECT_EQ(live[2].tuple.path, (std::vector<bgp::Asn>{10, 4}));
+}
+
 TEST(TupleShard, VersionBumpsOnMutationOnly) {
   TupleShard shard;
   const auto v0 = shard.version();

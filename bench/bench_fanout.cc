@@ -115,14 +115,14 @@ FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> received{0};
   std::thread drainer([&] {
-    auto poller = net::Poller::create(net::default_poller_backend());
+    net::Poller poller;
     for (std::size_t i = 0; i < subscribers; ++i) {
-      poller->set(subs[i].conn->poll_info().read_fd, i, true, false);
+      poller.set(subs[i].conn->poll_info().read_fd, i, true, false);
     }
     std::vector<net::PollerEvent> ready;
     std::vector<std::uint8_t> chunk(1 << 16);
     while (!stop.load()) {
-      (void)poller->wait(ready, 20);
+      (void)poller.wait(ready, 20);
       for (const auto& event : ready) {
         auto& sub = subs[event.token];
         if (sub.eof) continue;
@@ -135,7 +135,7 @@ FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs) {
           }
           if (status == net::IoStatus::kEof) {
             sub.eof = true;
-            poller->remove(sub.conn->poll_info().read_fd);
+            poller.remove(sub.conn->poll_info().read_fd);
           }
           break;
         }

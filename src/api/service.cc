@@ -382,9 +382,8 @@ void Service::set_history_provider(HistoryProvider provider) {
   history_provider_ = std::move(provider);
 }
 
-void Service::restore_engine(stream::EngineState state,
-                             std::span<const std::uint8_t> index_image) {
-  engine_.restore_state(std::move(state), index_image);
+void Service::restore_engine(stream::EngineState state) {
+  engine_.restore_state(std::move(state));
 }
 
 void Service::preload_events(std::vector<EpochDelta> deltas) {

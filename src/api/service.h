@@ -16,7 +16,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -278,10 +277,8 @@ class Service {
   /// source consulted by kHistory queries.
   void set_history_provider(HistoryProvider provider);
 
-  /// Swaps in a recovered engine state + optional index image (see
-  /// stream::StreamEngine::restore_state).
-  void restore_engine(stream::EngineState state,
-                      std::span<const std::uint8_t> index_image = {});
+  /// Swaps in a recovered engine state (see stream::StreamEngine::restore_state).
+  void restore_engine(stream::EngineState state);
 
   /// Seeds the event-log ring with recovered epoch deltas (ascending), so
   /// subscribers can replay across the restart. No callbacks fire.
@@ -293,7 +290,7 @@ class Service {
   void rebaseline();
 
   /// Exports the engine's durable state (see StreamEngine::checkpoint_state).
-  [[nodiscard]] stream::CheckpointState checkpoint_state() const {
+  [[nodiscard]] stream::EngineState checkpoint_state() const {
     return engine_.checkpoint_state();
   }
 

@@ -1,7 +1,7 @@
 #include "core/incremental.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -11,55 +11,6 @@ namespace bgpcu::core {
 namespace {
 
 constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
-
-// Image framing. Fixed-width little-endian fields: the image is bulk array
-// data, not a wire frame, so varints would only slow the mmap'd load down.
-constexpr std::uint8_t kImageMagic[4] = {0x89, 'B', 'C', 'I'};
-constexpr std::uint8_t kImageVersion = 1;
-
-void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-}
-
-void put_u64le(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
-
-/// Bounds-checked little-endian reader over an image span. `ok` latches
-/// false on the first out-of-bounds read; all reads after that return 0.
-struct ImageCursor {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  [[nodiscard]] bool has(std::size_t n) {
-    if (!ok || data.size() - pos < n) ok = false;
-    return ok;
-  }
-  std::uint32_t u32() {
-    if (!has(4)) return 0;
-    const std::uint8_t* b = data.data() + pos;
-    const std::uint32_t value = static_cast<std::uint32_t>(b[0]) |
-                                (static_cast<std::uint32_t>(b[1]) << 8) |
-                                (static_cast<std::uint32_t>(b[2]) << 16) |
-                                (static_cast<std::uint32_t>(b[3]) << 24);
-    pos += 4;
-    return value;
-  }
-  std::uint64_t u64() {
-    if (!has(8)) return 0;
-    const std::uint8_t* b = data.data() + pos;
-    std::uint64_t value = 0;
-    for (int i = 7; i >= 0; --i) value = (value << 8) | b[i];
-    pos += 8;
-    return value;
-  }
-};
 
 }  // namespace
 
@@ -98,9 +49,9 @@ void IncrementalIndex::refresh_max_len() noexcept {
   data_.max_len_ = max_len;
 }
 
-void IncrementalIndex::add(std::uint64_t key, const std::vector<bgp::Asn>& path,
+bool IncrementalIndex::add(std::uint64_t key, std::span<const bgp::Asn> path,
                            std::uint32_t upper_mask) {
-  if (path.empty() || path.size() > kMaxPathLength) return;
+  if (path.empty() || path.size() > kMaxPathLength) return false;
   const std::size_t g = path.size() - 1;
   auto& group = data_.groups_[g];
   const auto row = static_cast<std::uint32_t>(group.count());
@@ -124,7 +75,7 @@ void IncrementalIndex::add(std::uint64_t key, const std::vector<bgp::Asn>& path,
   if (!group.alive.empty()) group.alive.push_back(1);
   data_.max_len_ = std::max(data_.max_len_, path.size());
   ++data_.tuple_count_;
-  ++stats_.adds_applied;
+  return true;
 }
 
 void IncrementalIndex::remove(std::uint64_t key) {
@@ -144,7 +95,6 @@ void IncrementalIndex::remove(std::uint64_t key) {
     if (--id_refs_[ids[i]] == 0) ++dead_ids_;
   }
   --data_.tuple_count_;
-  ++stats_.removes_applied;
   if (len == data_.max_len_ && live_rows(g) == 0) refresh_max_len();
   if (dead_rows_[g] >= config_.compact_min_dead_rows &&
       dead_rows_[g] * 2 >= group.count()) {
@@ -225,11 +175,12 @@ void IncrementalIndex::rebuild() {
 }
 
 void IncrementalIndex::apply(std::vector<IndexDelta> deltas) {
-  for (auto& delta : deltas) {
+  for (const auto& delta : deltas) {
     if (delta.kind == IndexDelta::Kind::kAdd) {
-      add(delta.key, delta.path, delta.upper_mask);
+      if (add(delta.key, delta.path, delta.upper_mask)) ++stats_.adds_applied;
     } else {
       remove(delta.key);
+      ++stats_.removes_applied;
     }
   }
   if (dead_ids_ >= config_.rebuild_min_dead_ids && dead_ids_ * 2 >= id_refs_.size()) {
@@ -237,95 +188,22 @@ void IncrementalIndex::apply(std::vector<IndexDelta> deltas) {
   }
 }
 
-void IncrementalIndex::serialize_image(std::vector<std::uint8_t>& out) const {
-  out.insert(out.end(), std::begin(kImageMagic), std::end(kImageMagic));
-  out.push_back(kImageVersion);
-  put_u32le(out, static_cast<std::uint32_t>(data_.asns_.size()));
-  for (const auto asn : data_.asns_) put_u32le(out, asn);
-  for (std::size_t g = 0; g < kMaxPathLength; ++g) {
-    const auto& group = data_.groups_[g];
-    const auto& keys = row_keys_[g];
-    const std::size_t len = group.len;
-    put_u32le(out, static_cast<std::uint32_t>(live_rows(g)));
-    for (std::size_t row = 0; row < group.count(); ++row) {
-      if (!group.alive.empty() && !group.alive[row]) continue;
-      for (std::size_t i = 0; i < len; ++i) put_u32le(out, group.ids[row * len + i]);
-      put_u32le(out, group.masks[row]);
-      put_u64le(out, keys[row]);
-    }
-  }
-}
-
-bool IncrementalIndex::load_image(std::span<const std::uint8_t> image) {
+void IncrementalIndex::build(std::span<const IndexRow> rows) {
   reset();
-  ImageCursor cursor{image};
-  if (!cursor.has(5)) return false;
-  if (!std::equal(std::begin(kImageMagic), std::end(kImageMagic), image.begin())) {
-    return false;
+  std::array<std::size_t, kMaxPathLength> per_group{};
+  for (const auto& row : rows) {
+    if (!row.path.empty() && row.path.size() <= kMaxPathLength) ++per_group[row.path.size() - 1];
   }
-  cursor.pos = 4;
-  if (image[cursor.pos++] != kImageVersion) return false;
-
-  const std::uint32_t asn_count = cursor.u32();
-  // Every ASN costs 4 image bytes; reject counts the remaining bytes cannot
-  // hold before reserving anything.
-  if (!cursor.ok || image.size() - cursor.pos < static_cast<std::size_t>(asn_count) * 4) {
-    return false;
-  }
-  data_.asns_.reserve(asn_count);
-  id_of_.reserve(asn_count);
-  for (std::uint32_t id = 0; id < asn_count; ++id) {
-    const auto asn = cursor.u32();
-    if (!id_of_.try_emplace(asn, id).second) {
-      reset();
-      return false;  // duplicate ASN: the dense map would be ambiguous
-    }
-    data_.asns_.push_back(asn);
-  }
-  id_refs_.assign(asn_count, 0);
-
+  std::size_t total = 0;
   for (std::size_t g = 0; g < kMaxPathLength; ++g) {
     auto& group = data_.groups_[g];
-    auto& keys = row_keys_[g];
-    const std::size_t len = group.len;
-    const std::uint32_t rows = cursor.u32();
-    const std::size_t row_bytes = len * 4 + 4 + 8;
-    if (!cursor.ok || (image.size() - cursor.pos) / row_bytes < rows) {
-      reset();
-      return false;
-    }
-    group.ids.reserve(static_cast<std::size_t>(rows) * len);
-    group.masks.reserve(rows);
-    keys.reserve(rows);
-    for (std::uint32_t row = 0; row < rows; ++row) {
-      for (std::size_t i = 0; i < len; ++i) {
-        const auto id = cursor.u32();
-        if (id >= asn_count) {
-          reset();
-          return false;
-        }
-        ++id_refs_[id];
-        group.ids.push_back(id);
-      }
-      group.masks.push_back(cursor.u32());
-      const auto key = cursor.u64();
-      if (!row_of_.try_emplace(key, RowRef{group.len, row}).second) {
-        reset();
-        return false;  // duplicate tuple key
-      }
-      keys.push_back(key);
-    }
-    data_.tuple_count_ += rows;
-    if (rows != 0) data_.max_len_ = len;
+    group.ids.reserve(per_group[g] * group.len);
+    group.masks.reserve(per_group[g]);
+    row_keys_[g].reserve(per_group[g]);
+    total += per_group[g];
   }
-  if (!cursor.ok || cursor.pos != image.size()) {
-    reset();
-    return false;
-  }
-  for (const auto refs : id_refs_) {
-    if (refs == 0) ++dead_ids_;
-  }
-  return true;
+  row_of_.reserve(total);
+  for (const auto& row : rows) (void)add(row.key, row.path, row.upper_mask);
 }
 
 }  // namespace bgpcu::core

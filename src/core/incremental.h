@@ -20,6 +20,13 @@
 //    backstop that keeps per-sweep counter arrays proportional to the live
 //    AS universe under adversarial churn.
 //
+// A producer that has lost track of the index (journal overflow, a failed
+// apply, a restart) hands build() every live row instead: one counting pass
+// sizes the arrays, then the rows go in through the same add() path that
+// deltas use, borrowed rather than copied into owned deltas first. The row
+// order becomes the group arrays' order, so a producer should pass rows in
+// a stable, locality-friendly order (the stream shards use recency order).
+//
 // The maintained dataset yields bit-identical sweep_columns output to a
 // from-scratch build over the same live tuple set: counting is
 // order-independent, tombstoned rows are skipped, max_len tracks live rows
@@ -27,8 +34,8 @@
 // the correctness contract (tests/core/test_incremental.cc plus the stream
 // equivalence scenarios).
 //
-// Not thread-safe; the stream engine serializes apply() against sweeps via
-// its single-flight snapshot protocol.
+// Not thread-safe; the stream engine serializes apply() and build() against
+// sweeps via its single-flight snapshot protocol.
 #ifndef BGPCU_CORE_INCREMENTAL_H
 #define BGPCU_CORE_INCREMENTAL_H
 
@@ -56,6 +63,15 @@ struct IndexDelta {
                                    ///< stored tuple may die before apply).
 };
 
+/// One live tuple handed to IncrementalIndex::build: the same key and mask
+/// an add delta would carry, with the path borrowed from the producer's
+/// store (it must outlive the build() call).
+struct IndexRow {
+  std::span<const bgp::Asn> path;
+  std::uint64_t key = 0;
+  std::uint32_t upper_mask = 0;
+};
+
 /// Compaction/rebuild thresholds. The defaults keep maintenance amortized at
 /// production scale; tests shrink them to exercise the triggers.
 struct IncrementalIndexConfig {
@@ -70,7 +86,8 @@ struct IncrementalIndexConfig {
 
 class IncrementalIndex {
  public:
-  /// Lifetime maintenance counters (monotone).
+  /// Lifetime maintenance counters (monotone). adds/removes count applied
+  /// deltas only; rows loaded by build() are not deltas.
   struct Stats {
     std::uint64_t adds_applied = 0;
     std::uint64_t removes_applied = 0;
@@ -88,11 +105,17 @@ class IncrementalIndex {
   /// corrupt and the caller must rebuild from authoritative state.
   void apply(std::vector<IndexDelta> deltas);
 
-  /// The maintained dataset, valid until the next apply()/reset().
+  /// Replaces the index's contents with `rows`, the producer's
+  /// authoritative live set: reset(), size every group from one counting
+  /// pass, then add each row in order. Rows with empty/overlong paths are
+  /// ignored, as in apply(); a duplicate key throws std::invalid_argument
+  /// (the index is then partial and must be rebuilt again).
+  void build(std::span<const IndexRow> rows);
+
+  /// The maintained dataset, valid until the next apply()/build()/reset().
   [[nodiscard]] const IndexedDataset& dataset() const noexcept { return data_; }
 
-  /// Drops everything (tuples, ASN map, stats keep accumulating) so a caller
-  /// can rebuild from an authoritative live set via apply() of pure adds.
+  /// Drops everything (tuples, ASN map, stats keep accumulating).
   void reset();
 
   /// Live tuples currently indexed.
@@ -113,20 +136,6 @@ class IncrementalIndex {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const IncrementalIndexConfig& config() const noexcept { return config_; }
 
-  /// Appends the index's dense-array image to `out`: the full ASN -> id map
-  /// (dead ids included, so row ids need no remapping) and, per path-length
-  /// group, the *live* rows' ids/masks/keys — tombstones are compacted away
-  /// on write. Hash maps and refcounts are derived state and are rebuilt on
-  /// load. The image carries no checksum; the durable store frames it.
-  void serialize_image(std::vector<std::uint8_t>& out) const;
-
-  /// Replaces the index's contents with a serialized image. Returns false —
-  /// leaving the index reset/empty — on any structural inconsistency (bad
-  /// magic/version, truncation, out-of-range ids, duplicate keys); the
-  /// caller falls back to a full rebuild from authoritative state. Never
-  /// throws on malformed input.
-  [[nodiscard]] bool load_image(std::span<const std::uint8_t> image);
-
  private:
   /// Where one live tuple's row sits: groups_[len - 1], row index `row`.
   struct RowRef {
@@ -134,7 +143,8 @@ class IncrementalIndex {
     std::uint32_t row = 0;
   };
 
-  void add(std::uint64_t key, const std::vector<bgp::Asn>& path, std::uint32_t upper_mask);
+  /// Returns false (and changes nothing) for an empty or overlong path.
+  bool add(std::uint64_t key, std::span<const bgp::Asn> path, std::uint32_t upper_mask);
   void remove(std::uint64_t key);
   void compact_group(std::size_t g);
   void rebuild();

@@ -1,15 +1,11 @@
 #include "net/poller.h"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -43,166 +39,77 @@ void signal_eventfd(int fd) {
 // Sentinel token for the internal wake fd; never surfaced to callers.
 constexpr std::uint64_t kWakeToken = ~std::uint64_t{0};
 
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)), wake_fd_(make_wake_eventfd()) {
-    if (epfd_ < 0) throw_errno("epoll_create1");
-    ::epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeToken;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) throw_errno("epoll_ctl(wake)");
-  }
-
-  ~EpollPoller() override {
-    ::close(wake_fd_);
-    ::close(epfd_);
-  }
-
-  void set(int fd, std::uint64_t token, bool want_read, bool want_write) override {
-    if (!want_read && !want_write) {
-      remove(fd);
-      return;
-    }
-    ::epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.u64 = token;
-    // Try the cheaper path first based on what we believe is registered,
-    // then reconcile: a closed-and-reused fd number makes our bookkeeping
-    // stale, so MOD can hit ENOENT and ADD can hit EEXIST.
-    const bool known = registered_.count(fd) != 0;
-    int op = known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
-    if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
-      if (op == EPOLL_CTL_MOD && errno == ENOENT) {
-        op = EPOLL_CTL_ADD;
-      } else if (op == EPOLL_CTL_ADD && errno == EEXIST) {
-        op = EPOLL_CTL_MOD;
-      } else {
-        throw_errno("epoll_ctl");
-      }
-      if (::epoll_ctl(epfd_, op, fd, &ev) != 0) throw_errno("epoll_ctl(retry)");
-    }
-    registered_.insert(fd);
-  }
-
-  void remove(int fd) override {
-    registered_.erase(fd);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
-      if (errno != ENOENT && errno != EBADF) throw_errno("epoll_ctl(del)");
-    }
-  }
-
-  std::size_t wait(std::vector<PollerEvent>& out, int timeout_ms) override {
-    out.clear();
-    ::epoll_event evs[128];
-    int n;
-    do {
-      n = ::epoll_wait(epfd_, evs, static_cast<int>(std::size(evs)), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) throw_errno("epoll_wait");
-    for (int i = 0; i < n; ++i) {
-      if (evs[i].data.u64 == kWakeToken) {
-        drain_eventfd(wake_fd_);
-        continue;
-      }
-      PollerEvent pe;
-      pe.token = evs[i].data.u64;
-      pe.hangup = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      pe.readable = (evs[i].events & EPOLLIN) != 0 || pe.hangup;
-      pe.writable = (evs[i].events & EPOLLOUT) != 0;
-      out.push_back(pe);
-    }
-    return out.size();
-  }
-
-  void wake() override { signal_eventfd(wake_fd_); }
-
-  [[nodiscard]] std::string_view name() const noexcept override { return "epoll"; }
-
- private:
-  int epfd_;
-  int wake_fd_;
-  // fds we believe are registered; advisory only (see set()).
-  std::unordered_set<int> registered_;
-};
-
-class PollPoller final : public Poller {
- public:
-  PollPoller() : wake_fd_(make_wake_eventfd()) {}
-
-  ~PollPoller() override { ::close(wake_fd_); }
-
-  void set(int fd, std::uint64_t token, bool want_read, bool want_write) override {
-    if (!want_read && !want_write) {
-      remove(fd);
-      return;
-    }
-    short events = 0;
-    if (want_read) events |= POLLIN;
-    if (want_write) events |= POLLOUT;
-    watched_[fd] = Entry{token, events};
-  }
-
-  void remove(int fd) override { watched_.erase(fd); }
-
-  std::size_t wait(std::vector<PollerEvent>& out, int timeout_ms) override {
-    out.clear();
-    fds_.clear();
-    fds_.push_back({wake_fd_, POLLIN, 0});
-    for (const auto& [fd, entry] : watched_) {
-      fds_.push_back({fd, entry.events, 0});
-    }
-    int n;
-    do {
-      n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) throw_errno("poll");
-    if (n == 0) return 0;
-    if (fds_[0].revents != 0) drain_eventfd(wake_fd_);
-    for (std::size_t i = 1; i < fds_.size(); ++i) {
-      const short re = fds_[i].revents;
-      if (re == 0) continue;
-      const auto it = watched_.find(fds_[i].fd);
-      if (it == watched_.end()) continue;
-      PollerEvent pe;
-      pe.token = it->second.token;
-      pe.hangup = (re & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      pe.readable = (re & POLLIN) != 0 || pe.hangup;
-      pe.writable = (re & POLLOUT) != 0;
-      out.push_back(pe);
-    }
-    return out.size();
-  }
-
-  void wake() override { signal_eventfd(wake_fd_); }
-
-  [[nodiscard]] std::string_view name() const noexcept override { return "poll"; }
-
- private:
-  struct Entry {
-    std::uint64_t token = 0;
-    short events = 0;
-  };
-  int wake_fd_;
-  std::unordered_map<int, Entry> watched_;
-  std::vector<::pollfd> fds_;
-};
-
 }  // namespace
 
-PollerBackend default_poller_backend() noexcept {
-  const char* env = std::getenv("BGPCU_NET_POLLER");
-  if (env != nullptr && std::string_view(env) == "poll") return PollerBackend::kPoll;
-  return PollerBackend::kEpoll;
+Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)), wake_fd_(make_wake_eventfd()) {
+  if (epfd_ < 0) throw_errno("epoll_create1");
+  ::epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeToken;
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) throw_errno("epoll_ctl(wake)");
 }
 
-std::unique_ptr<Poller> Poller::create(PollerBackend backend) {
-  switch (backend) {
-    case PollerBackend::kPoll:
-      return std::make_unique<PollPoller>();
-    case PollerBackend::kEpoll:
-    default:
-      return std::make_unique<EpollPoller>();
+Poller::~Poller() {
+  ::close(wake_fd_);
+  ::close(epfd_);
+}
+
+void Poller::set(int fd, std::uint64_t token, bool want_read, bool want_write) {
+  if (!want_read && !want_write) {
+    remove(fd);
+    return;
+  }
+  ::epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.u64 = token;
+  // Try the cheaper path first based on what we believe is registered,
+  // then reconcile: a closed-and-reused fd number makes our bookkeeping
+  // stale, so MOD can hit ENOENT and ADD can hit EEXIST.
+  const bool known = registered_.count(fd) != 0;
+  int op = known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
+  if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
+    if (op == EPOLL_CTL_MOD && errno == ENOENT) {
+      op = EPOLL_CTL_ADD;
+    } else if (op == EPOLL_CTL_ADD && errno == EEXIST) {
+      op = EPOLL_CTL_MOD;
+    } else {
+      throw_errno("epoll_ctl");
+    }
+    if (::epoll_ctl(epfd_, op, fd, &ev) != 0) throw_errno("epoll_ctl(retry)");
+  }
+  registered_.insert(fd);
+}
+
+void Poller::remove(int fd) {
+  registered_.erase(fd);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
+    if (errno != ENOENT && errno != EBADF) throw_errno("epoll_ctl(del)");
   }
 }
+
+std::size_t Poller::wait(std::vector<PollerEvent>& out, int timeout_ms) {
+  out.clear();
+  ::epoll_event evs[128];
+  int n;
+  do {
+    n = ::epoll_wait(epfd_, evs, static_cast<int>(std::size(evs)), timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) throw_errno("epoll_wait");
+  for (int i = 0; i < n; ++i) {
+    if (evs[i].data.u64 == kWakeToken) {
+      drain_eventfd(wake_fd_);
+      continue;
+    }
+    PollerEvent pe;
+    pe.token = evs[i].data.u64;
+    pe.hangup = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    pe.readable = (evs[i].events & EPOLLIN) != 0 || pe.hangup;
+    pe.writable = (evs[i].events & EPOLLOUT) != 0;
+    out.push_back(pe);
+  }
+  return out.size();
+}
+
+void Poller::wake() { signal_eventfd(wake_fd_); }
 
 }  // namespace bgpcu::net

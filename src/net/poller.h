@@ -1,11 +1,6 @@
-// Readiness multiplexer behind the event-driven serving loop: one object
-// watching many fds, returning which are readable/writable. Two backends
-// share the interface — epoll (the production fast path: O(ready) wakeups,
-// no per-wait registration rebuild) and plain poll(2) (portable fallback;
-// the protocol conformance suite runs against both so a backend difference
-// can never hide behind the default). Backend selection honors the
-// BGPCU_NET_POLLER environment variable ("epoll" | "poll"), which is how
-// CMake registers the net suite a second time against the fallback.
+// Readiness multiplexer behind the event-driven serving loop: one epoll
+// instance watching many fds, returning which are readable/writable — O(ready)
+// wakeups and no per-wait registration rebuild.
 //
 // Thread model: set/remove/wait belong to one owning loop thread; wake() is
 // the only call safe from other threads (it makes a blocked wait() return).
@@ -13,16 +8,10 @@
 #define BGPCU_NET_POLLER_H
 
 #include <cstdint>
-#include <memory>
-#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace bgpcu::net {
-
-enum class PollerBackend : std::uint8_t { kEpoll, kPoll };
-
-/// kEpoll unless BGPCU_NET_POLLER=poll is set in the environment.
-[[nodiscard]] PollerBackend default_poller_backend() noexcept;
 
 /// One ready fd, identified by the token it was registered with.
 struct PollerEvent {
@@ -36,30 +25,37 @@ struct PollerEvent {
 
 class Poller {
  public:
-  virtual ~Poller() = default;
+  /// Throws std::runtime_error when the epoll instance or its wake eventfd
+  /// cannot be created.
+  Poller();
+  ~Poller();
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
   /// Registers `fd` under `token`, or updates its interest set if already
   /// registered. Asking for neither read nor write removes the fd.
   /// Registration survives a racing close of the fd number (stale entries
   /// are reconciled on the next set/remove), but the owner should remove
   /// fds before releasing them.
-  virtual void set(int fd, std::uint64_t token, bool want_read, bool want_write) = 0;
+  void set(int fd, std::uint64_t token, bool want_read, bool want_write);
 
   /// Drops `fd` from the watch set. Unknown fds are ignored.
-  virtual void remove(int fd) = 0;
+  void remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = forever, 0 = poll-and-return) and
   /// appends ready fds to `out` (cleared first). wake() calls are consumed
   /// internally and may yield an empty result. Returns the event count.
-  virtual std::size_t wait(std::vector<PollerEvent>& out, int timeout_ms) = 0;
+  std::size_t wait(std::vector<PollerEvent>& out, int timeout_ms);
 
   /// Makes a concurrent (or the next) wait() return promptly. The only
   /// member safe to call from a thread other than the owning loop.
-  virtual void wake() = 0;
+  void wake();
 
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-  [[nodiscard]] static std::unique_ptr<Poller> create(PollerBackend backend);
+ private:
+  int epfd_;
+  int wake_fd_;
+  /// fds we believe are registered; advisory only (see set()).
+  std::unordered_set<int> registered_;
 };
 
 }  // namespace bgpcu::net

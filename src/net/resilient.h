@@ -1,6 +1,7 @@
-// net::ResilientClient — the reconnecting, resume-from-epoch consumer the
-// federation aggregator sits on. It wraps the frame protocol (net/client.h
-// stays the simple one-connection client) with:
+// net::ResilientClient — the reconnecting, resume-from-epoch consumer for
+// long-running subscribers (bgpcu_query watch, monitors tailing the class-
+// change feed). It wraps the frame protocol (net/client.h stays the simple
+// one-connection client) with:
 //
 //   - capped exponential backoff with decorrelated jitter between connect
 //     attempts, honoring the server's kBusy retry-after hint as a floor;

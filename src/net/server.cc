@@ -13,6 +13,7 @@
 
 #include "api/wire.h"
 #include "net/framer.h"
+#include "net/poller.h"
 #include "obs/trace.h"
 #include "obs/wellknown.h"
 
@@ -448,8 +449,7 @@ class Server::EventConn : public std::enable_shared_from_this<Server::EventConn>
 /// updates, deadline scans) is loop-thread-only.
 class Server::IoLoop {
  public:
-  IoLoop(Server& server, PollerBackend backend)
-      : server_(server), poller_(Poller::create(backend)) {}
+  explicit IoLoop(Server& server) : server_(server) {}
 
   ~IoLoop() {
     stop();
@@ -462,7 +462,7 @@ class Server::IoLoop {
 
   void stop() {
     stopping_.store(true);
-    poller_->wake();
+    poller_.wake();
   }
 
   void join() {
@@ -479,7 +479,7 @@ class Server::IoLoop {
       need_wake = sleeping_;
     }
     live_.fetch_add(1);
-    if (need_wake) poller_->wake();
+    if (need_wake) poller_.wake();
   }
 
   /// Any-thread request to drain `conn`'s output queue. Duplicate mail is
@@ -495,12 +495,12 @@ class Server::IoLoop {
       flush_mail_.push_back(std::move(conn));
       need_wake = sleeping_;
     }
-    if (need_wake) poller_->wake();
+    if (need_wake) poller_.wake();
   }
 
   [[nodiscard]] std::size_t live() const { return live_.load(); }
 
-  [[nodiscard]] Poller& poller() { return *poller_; }
+  [[nodiscard]] Poller& poller() { return poller_; }
 
   /// Post-join harvest of connections never retired (server stop): mailbox
   /// leftovers plus everything still in the table.
@@ -525,8 +525,8 @@ class Server::IoLoop {
   void maybe_retire(const std::shared_ptr<EventConn>& conn) {
     if (conn->retired_ || !conn->done()) return;
     conn->retired_ = true;
-    poller_->remove(conn->pi_.read_fd);
-    if (conn->pi_.write_fd != conn->pi_.read_fd) poller_->remove(conn->pi_.write_fd);
+    poller_.remove(conn->pi_.read_fd);
+    if (conn->pi_.write_fd != conn->pi_.read_fd) poller_.remove(conn->pi_.write_fd);
     conns_.erase(conn->token_base_);
     live_.fetch_sub(1);
     bool schedule = false;
@@ -557,7 +557,7 @@ class Server::IoLoop {
       }
       const int timeout = compute_timeout_ms();
       try {
-        (void)poller_->wait(events, timeout);
+        (void)poller_.wait(events, timeout);
       } catch (const std::exception&) {
         break;  // poller broke underneath us; server stop cleans up
       }
@@ -639,7 +639,7 @@ class Server::IoLoop {
   }
 
   Server& server_;
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   std::thread thread_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> live_{0};
@@ -1042,7 +1042,7 @@ Server::Server(api::Service& service, std::shared_ptr<Listener> listener,
   const auto loops = std::max<std::size_t>(1, config_.io_threads);
   loops_.reserve(loops);
   for (std::size_t i = 0; i < loops; ++i) {
-    loops_.push_back(std::make_unique<IoLoop>(*this, config_.poller_backend));
+    loops_.push_back(std::make_unique<IoLoop>(*this));
   }
   if (config_.worker_threads > 0) {
     workers_ = std::make_unique<WorkerPool>(config_.worker_threads);

@@ -8,7 +8,7 @@
 //
 // Concurrency model — the point of this class: connections are served by an
 // event-driven readiness loop. An accept thread hands each connection to one
-// of a small set of IO threads, each running a Poller over nonblocking
+// of a small set of IO threads, each running an epoll Poller over nonblocking
 // connections and doing all of their reads and writes; decoded frames are
 // dispatched per-connection (in order) on a fixed worker pool so a slow
 // service query never stalls the IO loop. Published events are serialized
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "api/service.h"
-#include "net/poller.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 
@@ -85,10 +84,6 @@ struct ServerConfig {
   /// dispatch inline on the IO thread — cheapest, but a slow service query
   /// then stalls that loop's other connections.
   std::size_t worker_threads = 1;
-  /// Readiness backend for the IO loops (and nothing else). Defaults to
-  /// epoll, or poll(2) when BGPCU_NET_POLLER=poll is set — which is how CI
-  /// runs the conformance suite against both backends.
-  PollerBackend poller_backend = default_poller_backend();
 };
 
 /// Counts every event (connections, frames, errors, sheds, keepalive) only

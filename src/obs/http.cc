@@ -66,7 +66,7 @@ MetricsHttpServer::MetricsHttpServer(const std::string& host, std::uint16_t port
                                      const Registry& registry)
     : registry_(registry),
       listener_(std::make_unique<net::TcpListener>(host, port)),
-      poller_(net::Poller::create(net::default_poller_backend())) {
+      poller_(std::make_unique<net::Poller>()) {
   thread_ = std::thread([this] { serve_loop(); });
 }
 

@@ -294,7 +294,7 @@ std::vector<std::uint8_t> encode_state_file(const StateFile& state) {
   std::vector<std::uint8_t> payload;
   put_varint(payload, state.shards);
   put_varint(payload, state.window_epochs);
-  payload.push_back(state.incremental_index ? 1 : 0);
+  payload.push_back(1);  // retired index-mode flag
   put_f64(payload, state.thresholds.tagger);
   put_f64(payload, state.thresholds.silent);
   put_f64(payload, state.thresholds.forward);
@@ -323,7 +323,7 @@ StateFile decode_state_file(std::span<const std::uint8_t> bytes) {
   StateFile state;
   state.shards = cursor.varint("shard config");
   state.window_epochs = cursor.varint("window config");
-  state.incremental_index = cursor.u8("incremental flag") != 0;
+  (void)cursor.u8("retired index-mode flag");
   state.thresholds.tagger = cursor.f64("tagger threshold");
   state.thresholds.silent = cursor.f64("silent threshold");
   state.thresholds.forward = cursor.f64("forward threshold");
@@ -394,16 +394,6 @@ Manifest decode_manifest(std::span<const std::uint8_t> bytes) {
   manifest.wal_start_seq = cursor.varint("wal start seq");
   if (!cursor.done()) throw StoreError("store: trailing bytes in manifest");
   return manifest;
-}
-
-// ---------------------------------------------------------------- index file
-
-std::vector<std::uint8_t> encode_index_file(std::span<const std::uint8_t> image) {
-  return seal_file(kIndexMagic, std::vector<std::uint8_t>(image.begin(), image.end()));
-}
-
-std::span<const std::uint8_t> index_file_payload(std::span<const std::uint8_t> bytes) {
-  return open_file(kIndexMagic, bytes, "index file");
 }
 
 // ---------------------------------------------------------------- file names

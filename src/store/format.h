@@ -1,12 +1,15 @@
-// On-disk byte formats for the durable store (docs/PERSISTENCE.md). Three
+// On-disk byte formats for the durable store (docs/PERSISTENCE.md). These
 // file kinds live in a data directory, all CRC-framed so recovery can tell
 // torn or corrupted bytes from real data:
 //
 //   wal-<seq>.log        segment header + CRC-framed WAL records
 //   ckpt-<epoch>.state   engine state (config fingerprint, shards, feed marks)
 //   ckpt-<epoch>.snap    the published snapshot as a standard wire frame
-//   ckpt-<epoch>.index   core::IncrementalIndex dense-array image
 //   MANIFEST             retained checkpoint epochs + first live WAL segment
+//
+// Older stores also wrote ckpt-<epoch>.index, an image of the sweep index.
+// Recovery never reads one (it rebuilds the index from the restored
+// shards), and the next checkpoint's GC deletes them.
 //
 // The store shares the repo's varint/LEB128 idiom with src/api/wire.cc but
 // owns its primitives: wire.cc's helpers are file-private by design, and the
@@ -42,7 +45,6 @@ class StoreError : public std::runtime_error {
 inline constexpr std::array<std::uint8_t, 4> kSegmentMagic = {0x89, 'B', 'C', 'W'};
 inline constexpr std::array<std::uint8_t, 4> kManifestMagic = {0x89, 'B', 'C', 'M'};
 inline constexpr std::array<std::uint8_t, 4> kStateMagic = {0x89, 'B', 'C', 'T'};
-inline constexpr std::array<std::uint8_t, 4> kIndexMagic = {0x89, 'B', 'C', 'X'};
 inline constexpr std::uint8_t kStoreVersion = 1;
 
 /// Upper bound on one WAL record's payload; anything larger is corruption.
@@ -114,10 +116,11 @@ void encode_batch_record(std::vector<std::uint8_t>& out, stream::Epoch epoch,
 /// the configuration fingerprint it was taken under. Recovery refuses state
 /// whose fingerprint disagrees with the running config in ways that change
 /// semantics (thresholds, window) and adapts where it can (shard count).
+/// The byte after the window field once recorded an index mode: it is
+/// written as 1 and ignored on read, so the format keeps its version.
 struct StateFile {
   std::uint64_t shards = 0;
   std::uint64_t window_epochs = 0;
-  bool incremental_index = true;
   core::Thresholds thresholds;
   std::uint64_t max_columns = 0;
   bool early_stop = true;
@@ -143,17 +146,6 @@ struct Manifest {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_manifest(const Manifest& manifest);
 [[nodiscard]] Manifest decode_manifest(std::span<const std::uint8_t> bytes);
-
-// ------------------------------------------------------------- index file --
-
-/// Wraps a core index image in the store's magic+CRC envelope.
-[[nodiscard]] std::vector<std::uint8_t> encode_index_file(
-    std::span<const std::uint8_t> image);
-
-/// Validates the envelope and returns the image payload as a view into
-/// `bytes` (zero-copy: the caller keeps the backing file mapped/alive).
-[[nodiscard]] std::span<const std::uint8_t> index_file_payload(
-    std::span<const std::uint8_t> bytes);
 
 // ------------------------------------------------------------- file names --
 

@@ -1,7 +1,6 @@
 #include "store/io.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -158,67 +157,6 @@ void AppendFile::close() noexcept {
     ::close(fd_);
     fd_ = -1;
   }
-}
-
-Mapping::Mapping(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw_errno("open " + path);
-  struct ::stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    throw_errno("stat " + path);
-  }
-  size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ == 0) {
-    ::close(fd);
-    return;
-  }
-  void* addr = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (addr != MAP_FAILED) {
-    data_ = static_cast<const std::uint8_t*>(addr);
-    mapped_ = true;
-    ::close(fd);
-    return;
-  }
-  ::close(fd);
-  fallback_ = read_file(path);
-  data_ = fallback_.data();
-  size_ = fallback_.size();
-}
-
-Mapping::~Mapping() { reset(); }
-
-Mapping::Mapping(Mapping&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      mapped_(std::exchange(other.mapped_, false)),
-      fallback_(std::move(other.fallback_)) {}
-
-Mapping& Mapping::operator=(Mapping&& other) noexcept {
-  if (this != &other) {
-    reset();
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-    mapped_ = std::exchange(other.mapped_, false);
-    fallback_ = std::move(other.fallback_);
-  }
-  return *this;
-}
-
-void Mapping::reset() noexcept {
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-  }
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-  fallback_.clear();
-}
-
-std::span<const std::uint8_t> Mapping::bytes() const noexcept {
-  return {data_, size_};
 }
 
 }  // namespace bgpcu::store::io

@@ -1,7 +1,7 @@
-// Physical file IO for the durable store: append-only segment writing,
-// atomic whole-file replacement (tmp + rename + directory fsync), and a
-// read-only mmap wrapper for checkpoint files. Every failure surfaces as
-// StoreError so the store can degrade instead of crashing.
+// Physical file IO for the durable store: append-only segment writing and
+// atomic whole-file replacement (tmp + rename + directory fsync). Every
+// failure surfaces as StoreError so the store can degrade instead of
+// crashing.
 //
 // Fault injection: a process-wide hook observes every physical operation
 // (write, fsync, rename) before it runs. Crash-matrix tests use it to
@@ -66,30 +66,6 @@ class AppendFile {
   int fd_ = -1;
   std::uint64_t size_ = 0;
   std::string path_;
-};
-
-/// A read-only memory mapping (checkpoint index images load through this so
-/// the dense arrays come back without a read-into-buffer pass). Falls back
-/// to a heap read when mmap is unavailable for the file.
-class Mapping {
- public:
-  Mapping() = default;
-  explicit Mapping(const std::string& path);  // throws StoreError
-  ~Mapping();
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-  Mapping(Mapping&& other) noexcept;
-  Mapping& operator=(Mapping&& other) noexcept;
-
-  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept;
-
- private:
-  void reset() noexcept;
-
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;               ///< true: munmap on destroy.
-  std::vector<std::uint8_t> fallback_;  ///< heap copy when mmap failed.
 };
 
 }  // namespace bgpcu::store::io

@@ -108,8 +108,6 @@ RecoveryStats Store::recover(api::Service& service) {
   // 1. Newest valid checkpoint wins; older retained ones are fallbacks.
   StateFile state;
   bool have_state = false;
-  io::Mapping index_map;
-  std::span<const std::uint8_t> index_image;
   for (auto it = manifest_.checkpoints.rbegin(); it != manifest_.checkpoints.rend(); ++it) {
     try {
       state = decode_state_file(io::read_file(checkpoint_path(config_.dir, *it, ".state")));
@@ -120,16 +118,6 @@ RecoveryStats Store::recover(api::Service& service) {
     }
     rec.checkpoint_epoch = *it;
     have_state = true;
-    if (state.incremental_index) {
-      try {
-        index_map = io::Mapping(checkpoint_path(config_.dir, *it, ".index"));
-        index_image = index_file_payload(index_map.bytes());
-      } catch (const StoreError& error) {
-        rec.warnings.push_back("checkpoint " + std::to_string(*it) +
-                               " index image unusable: " + error.what());
-        index_image = {};
-      }
-    }
     break;
   }
 
@@ -150,9 +138,9 @@ RecoveryStats Store::recover(api::Service& service) {
       for (const auto& shard : state.engine.shards) total += shard.tuples.size();
       return total;
     }();
-    service.restore_engine(std::move(state.engine), index_image);
-    rec.index_image_loaded = !index_image.empty() && service.config().stream.incremental_index &&
-                             state.shards == config.shards;
+    // The sweep index is not persisted: the first snapshot after the replay
+    // below bulk-builds it from the restored shards.
+    service.restore_engine(std::move(state.engine));
     obs::log_info("store_checkpoint_loaded",
                   {{"epoch", std::to_string(*rec.checkpoint_epoch)},
                    {"tuples", std::to_string(restored)}});
@@ -284,23 +272,21 @@ bool Store::checkpoint(api::Service& service) {
 
 void Store::checkpoint_locked(api::Service& service) {
   const auto started = Clock::now();
-  // Snapshot before exporting state: the sweep warms the engine cache, so
-  // the subsequent export's journal drain is a no-op, and the .snap file is
-  // exactly the published view at this cut.
+  // Snapshot before exporting state, so the .snap file is the published
+  // view at this cut.
   const auto snapshot = service.query({.kind = api::QueryKind::kSnapshot}).snapshot;
-  auto cut = service.checkpoint_state();
-  const auto epoch = cut.state.epoch;
+  auto engine_state = service.checkpoint_state();
+  const auto epoch = engine_state.epoch;
   if (manifest_.has_checkpoint(epoch)) return;  // nothing new this epoch
 
   StateFile state;
   const auto& stream_config = service.config().stream;
   state.shards = stream_config.shards;
   state.window_epochs = stream_config.window_epochs;
-  state.incremental_index = stream_config.incremental_index;
   state.thresholds = stream_config.engine.thresholds;
   state.max_columns = stream_config.engine.max_columns;
   state.early_stop = stream_config.engine.early_stop;
-  state.engine = std::move(cut.state);
+  state.engine = std::move(engine_state);
   state.marks = last_marks_;
 
   std::uint64_t bytes_written = 0;
@@ -310,11 +296,6 @@ void Store::checkpoint_locked(api::Service& service) {
   const auto state_bytes = encode_state_file(state);
   io::write_file_atomic(checkpoint_path(config_.dir, epoch, ".state"), state_bytes);
   bytes_written += state_bytes.size();
-  if (!cut.index_image.empty()) {
-    const auto index_bytes = encode_index_file(cut.index_image);
-    io::write_file_atomic(checkpoint_path(config_.dir, epoch, ".index"), index_bytes);
-    bytes_written += index_bytes.size();
-  }
 
   // Rotate so every record logged before this cut lives in a dead segment;
   // the manifest (written last, atomically) is the commit point.
@@ -366,11 +347,13 @@ void Store::gc_locked() {
       doomed = seq < manifest_.wal_start_seq;
       if (doomed) ++removed_segments;
     } else if (parse_checkpoint_name(name, ".snap", epoch) ||
-               parse_checkpoint_name(name, ".state", epoch) ||
-               parse_checkpoint_name(name, ".index", epoch)) {
+               parse_checkpoint_name(name, ".state", epoch)) {
       // Expired retained history, plus orphans from checkpoints that crashed
       // before their manifest landed.
       doomed = !manifest_.has_checkpoint(epoch);
+    } else if (parse_checkpoint_name(name, ".index", epoch)) {
+      // Index images written by older stores: no checkpoint owns one now.
+      doomed = true;
     }
     if (doomed) fs::remove(it->path(), ec);
   }
@@ -457,7 +440,6 @@ api::ServiceConfig service_config_from(const StateFile& state) {
   api::ServiceConfig config;
   config.stream.shards = static_cast<std::size_t>(state.shards);
   config.stream.window_epochs = state.window_epochs;
-  config.stream.incremental_index = state.incremental_index;
   config.stream.engine.thresholds = state.thresholds;
   config.stream.engine.max_columns = static_cast<std::size_t>(state.max_columns);
   config.stream.engine.early_stop = state.early_stop;

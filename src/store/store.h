@@ -60,7 +60,10 @@ struct StoreConfig {
 struct RecoveryStats {
   bool recovered = false;             ///< Any checkpoint loaded or record replayed.
   std::optional<stream::Epoch> checkpoint_epoch;  ///< Base checkpoint, if any.
-  bool index_image_loaded = false;    ///< Dense arrays came back without rebuild.
+  /// Always false: recovery rebuilds the sweep index from the restored
+  /// shards and never reads an index image. Kept because the end-to-end
+  /// benchmark (bench_pipeline/lifecycle.cc) still reads it.
+  bool index_image_loaded = false;
   stream::Epoch resume_epoch = 0;     ///< Engine epoch after replay.
   std::uint64_t batches_replayed = 0;
   std::uint64_t deltas_replayed = 0;
@@ -98,9 +101,9 @@ class Store {
   /// written. Degrades on IO failure.
   bool maybe_checkpoint(api::Service& service);
 
-  /// Writes a checkpoint now: snapshot + engine state (+ index image) each
-  /// tmp+renamed, then the manifest (the commit point), then GC of dead WAL
-  /// segments and expired checkpoints. Returns false (degraded) on IO
+  /// Writes a checkpoint now: snapshot + engine state each tmp+renamed, then
+  /// the manifest (the commit point), then GC of dead WAL segments, expired
+  /// checkpoints and leftover index images. Returns false (degraded) on IO
   /// failure — recovery then uses the previous checkpoint.
   bool checkpoint(api::Service& service);
 

@@ -36,9 +36,7 @@ StreamEngine::StreamEngine(StreamConfig config) : config_(config), index_(config
   for (std::size_t i = 0; i < config_.shards; ++i) {
     // Interleaved key ranges keep shard-assigned tuple keys unique
     // engine-wide without any cross-shard coordination.
-    shards_.push_back(std::make_unique<TupleShard>(i, config_.shards,
-                                                   config_.incremental_index,
-                                                   config_.journal_cap));
+    shards_.push_back(std::make_unique<TupleShard>(i, config_.shards, config_.journal_cap));
   }
 
   // Force the catalog before registering collectors so no instrumented call
@@ -56,19 +54,16 @@ StreamEngine::StreamEngine(StreamConfig config) : config_(config), index_(config
   epoch_collector_ = registry.add_collector(
       "bgpcu_stream_epoch", "Current ingestion epoch (summed across engines)", {},
       [this] { return static_cast<double>(epoch_.load(std::memory_order_relaxed)); });
-  if (config_.incremental_index) {
-    index_live_collector_ = registry.add_collector(
-        "bgpcu_index_live_rows", "Live rows in the incremental sweep index", {}, [this] {
-          const std::shared_lock lock(engine_mutex_);
-          return static_cast<double>(index_.live_tuples());
-        });
-    index_dead_collector_ = registry.add_collector(
-        "bgpcu_index_dead_rows",
-        "Tombstoned index rows awaiting lazy compaction", {}, [this] {
-          const std::shared_lock lock(engine_mutex_);
-          return static_cast<double>(index_.dead_rows());
-        });
-  }
+  index_live_collector_ = registry.add_collector(
+      "bgpcu_index_live_rows", "Live rows in the incremental sweep index", {}, [this] {
+        const std::shared_lock lock(engine_mutex_);
+        return static_cast<double>(index_.live_tuples());
+      });
+  index_dead_collector_ = registry.add_collector(
+      "bgpcu_index_dead_rows", "Tombstoned index rows awaiting lazy compaction", {}, [this] {
+        const std::shared_lock lock(engine_mutex_);
+        return static_cast<double>(index_.dead_rows());
+      });
 }
 
 std::size_t StreamEngine::shard_of(bgp::Asn peer) const noexcept {
@@ -131,19 +126,22 @@ void StreamEngine::apply_pending_deltas_locked(std::size_t live) const {
     }
   }
   obs::StageTimer patch_span(m.snapshot_stage_patch_ns);
-  if (!journals_intact) {
-    // A journal overflowed (or a previous apply died): the deltas no longer
-    // reconstruct the live set. Rebuild once from the shards' authoritative
-    // state — same cost as a pre-incremental snapshot, then incremental
-    // maintenance resumes from this cut.
-    index_.reset();
-    deltas.clear();
-    for (const auto& shard : shards_) shard->export_live(deltas);
+  const auto before = index_.stats();
+  index_valid_ = false;  // until apply()/build() lands in full
+  if (journals_intact) {
+    index_.apply(std::move(deltas));
+  } else {
+    // A journal overflowed, a previous apply died, or the shards were
+    // restored: the deltas no longer reconstruct the live set. Bulk-build
+    // once from the shards' rows, oldest first, then incremental
+    // maintenance resumes from this cut. The rows borrow the shards' paths,
+    // which the exclusive lock keeps alive.
+    std::vector<core::IndexRow> rows;
+    rows.reserve(live);
+    for (const auto& shard : shards_) shard->collect_rows(rows);
+    index_.build(rows);
     m.index_rebuilds.add(1);
   }
-  const auto before = index_.stats();
-  index_valid_ = false;  // until apply() lands in full
-  index_.apply(std::move(deltas));
   index_valid_ = true;
   const auto& after = index_.stats();
   const auto applied = (after.adds_applied - before.adds_applied) +
@@ -179,12 +177,9 @@ SnapshotPtr StreamEngine::snapshot() const {
   }
 
   // Collection phase, under the exclusive lock: stamp a consistent cut of
-  // the live tuple set and bring the sweep input up to date with it. In
-  // incremental mode that patches the persistent index with the journaled
-  // deltas since the last cut (work proportional to the churn); otherwise
-  // it copies the live tuples into an owned index (one full pass).
-  core::IndexedDataset rebuilt;
-  const core::IndexedDataset* sweep_input = nullptr;
+  // the live tuple set and bring the persistent index up to date with it —
+  // the journaled deltas since the last cut (work proportional to the
+  // churn), or one bulk build when the journals cannot reconstruct it.
   std::uint64_t version = 0;
   {
     std::unique_lock lock(engine_mutex_);
@@ -218,16 +213,7 @@ SnapshotPtr StreamEngine::snapshot() const {
     // every future snapshot() would wait forever on the cv.
     const auto locked_at = Clock::now();
     try {
-      if (config_.incremental_index) {
-        apply_pending_deltas_locked(live);
-        sweep_input = &index_.dataset();
-      } else {
-        std::vector<core::TupleView> views;
-        views.reserve(live);
-        for (const auto& shard : shards_) shard->collect_views(views);
-        rebuilt = core::IndexedDataset(views);
-        sweep_input = &rebuilt;
-      }
+      apply_pending_deltas_locked(live);
     } catch (...) {
       sweep_inflight_ = false;  // lock still held here
       snapshot_cv_.notify_all();
@@ -246,7 +232,7 @@ SnapshotPtr StreamEngine::snapshot() const {
     if (after_collect_hook_) after_collect_hook_();
     obs::StageTimer sweep_span(m.snapshot_stage_sweep_ns);
     result = std::make_shared<const core::InferenceResult>(
-        core::sweep_columns(*sweep_input, config_.engine));
+        core::sweep_columns(index_.dataset(), config_.engine));
   } catch (...) {
     const std::unique_lock lock(engine_mutex_);
     sweep_inflight_ = false;
@@ -269,48 +255,38 @@ SnapshotPtr StreamEngine::snapshot() const {
   return result;
 }
 
-CheckpointState StreamEngine::checkpoint_state() const {
-  std::unique_lock lock(engine_mutex_);
-  // Wait out any in-flight sweep: the collect phase below mutates the shared
-  // index, which must stay immutable while an unlocked sweep reads it.
-  while (sweep_inflight_) snapshot_cv_.wait(lock);
-
-  CheckpointState out;
-  if (config_.incremental_index) {
-    std::size_t live = 0;
-    for (const auto& shard : shards_) live += shard->size();
-    // Drain the journals into the index so the exported image is current and
-    // a restore starts with empty journals (same invariant as post-snapshot).
-    apply_pending_deltas_locked(live);
-    index_.serialize_image(out.index_image);
-  }
-  out.state.epoch = epoch_.load(std::memory_order_relaxed);
-  out.state.evicted_total = evicted_total_.load(std::memory_order_relaxed);
-  out.state.shards.resize(shards_.size());
+EngineState StreamEngine::checkpoint_state() const {
+  // Exclusive: ingest holds the shared lock, so this is a cut across shards.
+  // No sweep wait: nothing here touches the index an unlocked sweep reads.
+  const std::unique_lock lock(engine_mutex_);
+  EngineState out;
+  out.epoch = epoch_.load(std::memory_order_relaxed);
+  out.evicted_total = evicted_total_.load(std::memory_order_relaxed);
+  out.shards.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out.state.shards[i].next_key = shards_[i]->next_key();
-    shards_[i]->export_tuples(out.state.shards[i].tuples);
+    out.shards[i].next_key = shards_[i]->next_key();
+    shards_[i]->export_tuples(out.shards[i].tuples);
   }
   return out;
 }
 
-void StreamEngine::restore_state(EngineState state, std::span<const std::uint8_t> index_image) {
+void StreamEngine::restore_state(EngineState state) {
   std::unique_lock lock(engine_mutex_);
+  // Wait out any in-flight sweep: the reset below mutates the shared index,
+  // which must stay immutable while an unlocked sweep reads it.
   while (sweep_inflight_) snapshot_cv_.wait(lock);
 
   epoch_.store(state.epoch, std::memory_order_relaxed);
   evicted_total_.store(state.evicted_total, std::memory_order_relaxed);
 
-  const bool exact = state.shards.size() == shards_.size();
-  if (exact) {
+  if (state.shards.size() == shards_.size()) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       shards_[i]->restore_tuples(std::move(state.shards[i].tuples),
                                  state.shards[i].next_key);
     }
   } else {
     // The checkpoint was taken under a different --shards: re-partition by
-    // peer hash and hand out fresh interleaved keys (the persisted index
-    // image is keyed by the old layout and cannot be reused).
+    // peer hash and hand out fresh interleaved keys.
     std::vector<std::vector<StoredTuple>> buckets(shards_.size());
     for (auto& shard_state : state.shards) {
       for (auto& stored : shard_state.tuples) {
@@ -330,20 +306,9 @@ void StreamEngine::restore_state(EngineState state, std::span<const std::uint8_t
 
   cached_.reset();
   cached_version_ = 0;
-  if (config_.incremental_index) {
-    std::size_t live = 0;
-    for (const auto& shard : shards_) live += shard->size();
-    // Adopt the persisted image only when it provably matches the restored
-    // shards; anything else falls back to one full rebuild at the next
-    // snapshot (index_valid_ false), which is always correct.
-    if (exact && !index_image.empty() && index_.load_image(index_image) &&
-        index_.live_tuples() == live) {
-      index_valid_ = true;
-    } else {
-      index_.reset();
-      index_valid_ = false;
-    }
-  }
+  // The next snapshot bulk-builds the index from the restored shards.
+  index_.reset();
+  index_valid_ = false;
 }
 
 core::UsageCounters StreamEngine::live_counters(bgp::Asn asn) const {

@@ -10,11 +10,13 @@
 //
 // Incrementality model: the column algorithm transfers classification
 // knowledge from lower to higher path indices, so a new tuple can in
-// principle flip evidence at every column — exact per-column deltas are not
-// possible. What *is* hoisted out of the sweep is everything per-tuple:
-// normalization, deduplication, and the upper-field masks are paid once at
-// ingest; a snapshot only gathers cached views and sweeps, and a snapshot of
-// an unchanged engine returns the cached result without sweeping at all.
+// principle flip evidence at every column: exact per-column deltas exist,
+// but their size cannot be bounded in advance, so every cold snapshot
+// sweeps the whole live set. What *is* hoisted out of the sweep is
+// everything per-tuple: normalization, deduplication, and the upper-field
+// masks are paid once at ingest; a snapshot only gathers cached views and
+// sweeps, and a snapshot of an unchanged engine returns the cached result
+// without sweeping at all.
 // The peer-column (index 1) evidence, where Cond1 is vacuous, is maintained
 // fully incrementally and queryable in real time via `live_counters`.
 //
@@ -30,18 +32,17 @@
 // so cache hits share one immutable object instead of deep-copying the
 // counter map per call.
 //
-// Incremental indexing (default): the engine owns a core::IncrementalIndex
-// that persists between snapshots; shards journal every accept/evict as an
+// Incremental indexing: the engine owns a core::IncrementalIndex that
+// persists between snapshots; shards journal every accept/evict as an
 // IndexDelta, and the exclusive section shrinks to "drain the journals,
 // patch the index, stamp the cut" — proportional to the churn since the last
 // snapshot, not to the live tuple set. Eviction-heavy windows tombstone rows
-// that are compacted lazily, and a journal overflow (snapshot-starved
-// engine) or an apply failure falls back to one full rebuild from the
-// shards' authoritative state. Sweeps are single-flight, which is also what
-// keeps the shared index immutable while an unlocked sweep reads it. With
-// `incremental_index` off the engine rebuilds an owned IndexedDataset per
-// cold snapshot (the pre-incremental protocol, kept as a fallback and as the
-// bench baseline).
+// that are compacted lazily. The one cold path is a bulk build from the
+// shards' rows, oldest first, shard by shard: it runs after a journal
+// overflow (snapshot-starved engine), after an apply failure, and at the
+// first snapshot after restore_state(). Sweeps are single-flight, which is
+// also what keeps the shared index immutable while an unlocked sweep reads
+// it.
 #ifndef BGPCU_STREAM_ENGINE_H
 #define BGPCU_STREAM_ENGINE_H
 
@@ -51,7 +52,6 @@
 #include <functional>
 #include <memory>
 #include <shared_mutex>
-#include <span>
 #include <vector>
 
 #include "core/engine.h"
@@ -69,9 +69,6 @@ struct StreamConfig {
   /// Sliding window in epochs: a snapshot at epoch E covers tuples last seen
   /// at epochs (E - window_epochs, E]. 0 = unbounded (nothing ages out).
   std::uint64_t window_epochs = 0;
-  /// Maintain the sweep index incrementally across snapshots (see header
-  /// note). Off = rebuild an owned IndexedDataset per cold snapshot.
-  bool incremental_index = true;
   /// Tombstone-compaction / full-rebuild thresholds for the incremental
   /// index; the defaults suit production scale, tests shrink them.
   core::IncrementalIndexConfig index;
@@ -96,13 +93,6 @@ struct EngineState {
   Epoch epoch = 0;
   std::uint64_t evicted_total = 0;
   std::vector<ShardState> shards;
-};
-
-/// EngineState plus the incremental index's serialized dense-array image
-/// (empty when incremental indexing is off), captured at one consistent cut.
-struct CheckpointState {
-  EngineState state;
-  std::vector<std::uint8_t> index_image;
 };
 
 /// Incremental, sharded community-usage classification engine.
@@ -149,20 +139,18 @@ class StreamEngine {
 
   [[nodiscard]] const StreamConfig& config() const noexcept { return config_; }
 
-  /// Exports the engine's durable state at a consistent cut: waits out any
-  /// in-flight sweep, drains the shard journals into the incremental index
-  /// (so the exported image is current and the journals are empty), then
-  /// copies every shard's tuples and the index image. The engine remains
-  /// fully usable afterwards.
-  [[nodiscard]] CheckpointState checkpoint_state() const;
+  /// Exports the engine's durable state at a consistent cut: copies every
+  /// shard's tuples, oldest first, under the exclusive lock. Touches neither
+  /// the index nor the journals, so an in-flight sweep runs on undisturbed.
+  /// The engine remains fully usable afterwards.
+  [[nodiscard]] EngineState checkpoint_state() const;
 
   /// Replaces the engine's state with a checkpoint. When the shard count
-  /// matches the exporting engine's, tuples keep their keys and the index
-  /// image (if non-empty and consistent) is adopted, skipping the rebuild;
-  /// otherwise tuples are redistributed under the current shard count with
-  /// fresh keys and the next snapshot rebuilds the index from shard state.
-  /// Any cached snapshot is dropped.
-  void restore_state(EngineState state, std::span<const std::uint8_t> index_image = {});
+  /// matches the exporting engine's, tuples keep their keys; otherwise they
+  /// are redistributed under the current shard count with fresh keys. The
+  /// index is reset either way, and the next snapshot bulk-builds it from
+  /// the restored shards. Any cached snapshot is dropped.
+  void restore_state(EngineState state);
 
   /// Test instrumentation: invoked by snapshot() after the collection lock
   /// is released and before the sweep starts. Lets concurrency tests prove
@@ -176,11 +164,11 @@ class StreamEngine {
   [[nodiscard]] std::size_t shard_of(bgp::Asn peer) const noexcept;
 
   /// Brings index_ up to date with the shards: drains every journal and
-  /// patches the index, or rebuilds it from shard state after an overflow /
-  /// prior apply failure. `live` is the shard-size sum at the cut; a
-  /// mismatch against the patched index throws std::logic_error (a journal
-  /// and its shard disagreeing is a bug, never a recoverable state).
-  /// Caller holds engine_mutex_ exclusively.
+  /// patches the index, or bulk-builds it from the shards' rows after an
+  /// overflow, a prior apply failure or a restore. `live` is the shard-size
+  /// sum at the cut; a mismatch against the patched index throws
+  /// std::logic_error (a journal and its shard disagreeing is a bug, never
+  /// a recoverable state). Caller holds engine_mutex_ exclusively.
   void apply_pending_deltas_locked(std::size_t live) const;
 
   StreamConfig config_;
@@ -199,12 +187,13 @@ class StreamEngine {
   mutable std::uint64_t cached_version_ = 0;
   mutable std::condition_variable_any snapshot_cv_;
   mutable bool sweep_inflight_ = false;
-  /// The persistent sweep index (incremental mode). Mutated only inside the
-  /// exclusive collect phase while sweep_inflight_ is held, which is what
-  /// makes the unlocked sweep's read of it race-free.
+  /// The persistent sweep index. Mutated only inside the exclusive collect
+  /// phase while sweep_inflight_ is held, which is what makes the unlocked
+  /// sweep's read of it race-free.
   mutable core::IncrementalIndex index_;
-  /// Cleared when an apply failed mid-flight (index state unknown); the next
-  /// snapshot rebuilds from the shards' authoritative state.
+  /// Cleared when an apply failed mid-flight (index state unknown) or a
+  /// restore replaced the shards; the next snapshot bulk-builds the index
+  /// from the shards' authoritative state.
   mutable bool index_valid_ = true;
   std::function<void()> after_collect_hook_;
   /// Scrape-time gauges (live tuples, epoch, index occupancy); registered in

@@ -15,11 +15,11 @@ IngestStats& IngestStats::operator+=(const IngestStats& other) noexcept {
   return *this;
 }
 
-TupleShard::TupleShard(std::uint64_t first_key, std::uint64_t key_stride, bool journal,
+TupleShard::TupleShard(std::uint64_t first_key, std::uint64_t key_stride,
                        std::size_t journal_cap)
     : next_key_(first_key), key_stride_(key_stride == 0 ? 1 : key_stride),
       lane_(static_cast<std::size_t>(first_key) % obs::Counter::kLanes),
-      journal_enabled_(journal), journal_cap_(journal_cap) {}
+      journal_cap_(journal_cap) {}
 
 IngestOutcome TupleShard::ingest(core::PathCommTuple&& tuple, Epoch epoch) {
   const auto view = core::TupleView::prepare(tuple);
@@ -35,7 +35,7 @@ IngestOutcome TupleShard::ingest(core::PathCommTuple&& tuple, Epoch epoch) {
 }
 
 void TupleShard::journal_push(core::IndexDelta&& delta) {
-  if (!journal_enabled_ || journal_overflowed_) return;
+  if (journal_overflowed_) return;
   if (delta.kind == core::IndexDelta::Kind::kRemove) {
     const auto pending = pending_adds_.find(delta.key);
     if (pending != pending_adds_.end()) {
@@ -52,7 +52,7 @@ void TupleShard::journal_push(core::IndexDelta&& delta) {
   }
   if (journal_.size() >= journal_cap_) {
     // Stop buffering and drop what we have: the next drain reports the
-    // overflow and the engine rebuilds from export_live() instead.
+    // overflow and the engine rebuilds from collect_rows() instead.
     journal_overflowed_ = true;
     journal_.clear();
     journal_.shrink_to_fit();
@@ -124,10 +124,8 @@ void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
     it->second.key = next_key_;
     next_key_ += key_stride_;
     link_newest(node);
-    if (journal_enabled_) {
-      journal_push({core::IndexDelta::Kind::kAdd, it->second.key, prepared.upper_mask,
-                    it->first.path});
-    }
+    journal_push({core::IndexDelta::Kind::kAdd, it->second.key, prepared.upper_mask,
+                  it->first.path});
     auto& k = live_[peer];
     if ((prepared.upper_mask & 1u) != 0) {
       ++k.t;
@@ -161,9 +159,7 @@ std::size_t TupleShard::evict_older_than(Epoch min_epoch) {
       }
       if ((k.t | k.s | k.f | k.c) == 0) live_.erase(live_it);
     }
-    if (journal_enabled_) {
-      journal_push({core::IndexDelta::Kind::kRemove, node->second.key, 0, {}});
-    }
+    journal_push({core::IndexDelta::Kind::kRemove, node->second.key, 0, {}});
     unlink(node);
     tuples_.erase(tuples_.find(node->first));
     ++evicted;
@@ -173,13 +169,6 @@ std::size_t TupleShard::evict_older_than(Epoch min_epoch) {
     obs::metrics().stream_evicted.add(evicted, lane_);
   }
   return evicted;
-}
-
-void TupleShard::collect_views(std::vector<core::TupleView>& out) const {
-  const std::lock_guard lock(mutex_);
-  for (const auto& [tuple, meta] : tuples_) {
-    out.push_back(core::TupleView{&tuple.path, meta.upper_mask});
-  }
 }
 
 bool TupleShard::drain_deltas(std::vector<core::IndexDelta>& out) {
@@ -206,11 +195,10 @@ bool TupleShard::drain_deltas(std::vector<core::IndexDelta>& out) {
   return true;
 }
 
-void TupleShard::export_live(std::vector<core::IndexDelta>& out) const {
+void TupleShard::collect_rows(std::vector<core::IndexRow>& out) const {
   const std::lock_guard lock(mutex_);
-  out.reserve(out.size() + tuples_.size());
-  for (const auto& [tuple, meta] : tuples_) {
-    out.push_back({core::IndexDelta::Kind::kAdd, meta.key, meta.upper_mask, tuple.path});
+  for (const Node* node = oldest_; node != nullptr; node = node->second.newer) {
+    out.push_back({node->first.path, node->second.key, node->second.upper_mask});
   }
 }
 
@@ -249,10 +237,12 @@ void TupleShard::restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t n
   if (!std::is_sorted(tuples.begin(), tuples.end(), by_last_seen)) {
     std::stable_sort(tuples.begin(), tuples.end(), by_last_seen);
   }
+  // Sized once up front: growing the map insert by insert rehashes it
+  // repeatedly, a large share of a restore's time.
+  tuples_.reserve(tuples.size());
   for (auto& stored : tuples) {
     const auto view = core::TupleView::prepare(stored.tuple);
-    if (!view) continue;  // Corrupt checkpoint row; the caller's live-count
-                          // check against the index image catches the drop.
+    if (!view) continue;  // Corrupt checkpoint row: dropped.
     const bgp::Asn peer = stored.tuple.peer();
     auto [it, inserted] = tuples_.try_emplace(std::move(stored.tuple));
     if (!inserted) continue;

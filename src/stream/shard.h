@@ -81,10 +81,9 @@ class TupleShard {
 
   /// Keys assigned to accepted tuples are `first_key + n * key_stride`: the
   /// engine gives shard i (i, shard_count) so keys are unique engine-wide.
-  /// `journal` false (non-incremental engines) skips all delta buffering;
   /// `journal_cap` overrides the overflow threshold (tests shrink it).
   explicit TupleShard(std::uint64_t first_key = 0, std::uint64_t key_stride = 1,
-                      bool journal = true, std::size_t journal_cap = kJournalCap);
+                      std::size_t journal_cap = kJournalCap);
 
   /// Offers one tuple (communities must already be normalized). Thread-safe.
   /// Precondition: `epoch` is no older than any epoch passed to an earlier
@@ -102,11 +101,6 @@ class TupleShard {
   /// the first survivor; returns how many died.
   std::size_t evict_older_than(Epoch min_epoch);
 
-  /// Appends a view per live tuple to `out`. The views borrow the shard's
-  /// stored tuples: the caller must hold off mutations (via the engine's
-  /// snapshot lock) while using them.
-  void collect_views(std::vector<core::TupleView>& out) const;
-
   /// Moves the journaled add/remove deltas since the last drain into `out`
   /// (in mutation order) and clears the journal. Add+remove pairs for the
   /// same key that both happened since the last drain cancel each other and
@@ -114,16 +108,19 @@ class TupleShard {
   /// tombstoned the row (keys are never reused, so the cancellation is
   /// exact). Returns false when the journal overflowed since the last drain:
   /// nothing is appended, the overflow state is cleared, and the caller must
-  /// rebuild its index from export_live() of every shard. Thread-safe.
+  /// rebuild its index from collect_rows() of every shard. Thread-safe.
   [[nodiscard]] bool drain_deltas(std::vector<core::IndexDelta>& out);
 
   /// Lifetime count of add+remove pairs cancelled before a drain. Thread-safe.
   [[nodiscard]] std::uint64_t journal_dedups() const;
 
-  /// Appends one add-delta per live tuple (the shard's authoritative state),
-  /// keyed identically to the journal's entries. Used to (re)build an index
-  /// from scratch after an overflow or apply failure. Thread-safe.
-  void export_live(std::vector<core::IndexDelta>& out) const;
+  /// Appends one index row per live tuple (the shard's authoritative state),
+  /// keyed identically to the journal's entries, oldest first. The rows
+  /// borrow the shard's stored paths: the caller must hold off mutations
+  /// (via the engine's exclusive lock) while using them. Feeds
+  /// IncrementalIndex::build after an overflow, an apply failure or a
+  /// restore. Thread-safe.
+  void collect_rows(std::vector<core::IndexRow>& out) const;
 
   /// Appends one StoredTuple per live tuple (checkpoint export), oldest
   /// first: the output is in non-decreasing last_seen order. Thread-safe.
@@ -164,8 +161,8 @@ class TupleShard {
     Node* newer = nullptr;
   };
 
-  /// Appends to the journal unless journaling is off or overflowed; flips
-  /// into the overflowed state at the cap. Caller holds mutex_.
+  /// Appends to the journal unless it overflowed; flips into the
+  /// overflowed state at the cap. Caller holds mutex_.
   void journal_push(core::IndexDelta&& delta);
 
   /// Recency-list surgery. Caller holds mutex_.
@@ -183,7 +180,6 @@ class TupleShard {
   std::uint64_t next_key_ = 0;
   std::uint64_t key_stride_ = 1;
   std::size_t lane_ = 0;  ///< Counter stripe; derived from first_key.
-  bool journal_enabled_ = true;
   std::size_t journal_cap_ = kJournalCap;
   bool journal_overflowed_ = false;
   std::vector<core::IndexDelta> journal_;

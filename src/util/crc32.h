@@ -1,6 +1,5 @@
-// IEEE CRC-32 (the zlib/PNG polynomial), shared by the durable store's
-// record framing and the core index image. Table-driven, no dependencies;
-// kept in util so both core and store can use it without a layering edge.
+// IEEE CRC-32 (the zlib/PNG polynomial) behind the durable store's record
+// and file framing. Table-driven, no dependencies.
 #pragma once
 
 #include <cstddef>

@@ -511,6 +511,7 @@ TEST(WireProtocolFrames, WatchlistCapIsEnforcedBothWays) {
       0xFF, 0xFF, 0xFF, 0x7F,  // watch count varint: 268435455
   };
   std::vector<std::uint8_t> crafted(kWireMagic.begin(), kWireMagic.end());
+  crafted.reserve(crafted.size() + 3 + payload.size());  // version, type, length, payload
   crafted.push_back(kWireVersion);
   crafted.push_back(static_cast<std::uint8_t>(FrameType::kSubscribe));
   crafted.push_back(static_cast<std::uint8_t>(payload.size()));

@@ -1,10 +1,11 @@
 // core::IncrementalIndex contract: an index patched by any legal add/remove
-// delta sequence sweeps bit-identically to a from-scratch IndexedDataset
-// built over the same live tuple set — through tombstones, lazy group
-// compaction, and threshold-triggered full rebuilds. These tests drive the
-// triggers deterministically (shrunk thresholds) and randomly (churn
-// scripts); the stream equivalence scenarios cover the same contract
-// end-to-end through StreamEngine::snapshot().
+// delta sequence, or bulk-built from a live row set and patched onwards,
+// sweeps bit-identically to a from-scratch IndexedDataset built over the
+// same live tuple set — through tombstones, lazy group compaction, and
+// threshold-triggered full rebuilds. These tests drive the triggers
+// deterministically (shrunk thresholds) and randomly (churn scripts); the
+// stream equivalence scenarios cover the same contract end-to-end through
+// StreamEngine::snapshot().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,6 +216,12 @@ TEST(IncrementalIndex, CorruptDeltaSequencesThrow) {
   // A removed key is gone for good: removing it twice is corrupt too.
   index.apply({remove_delta(7)});
   EXPECT_THROW(index.apply({remove_delta(7)}), std::invalid_argument);
+
+  // A bulk build holds its rows to the same rule: one key, one row.
+  const std::vector<bgp::Asn> a = {10, 20};
+  const std::vector<bgp::Asn> b = {30};
+  const std::vector<IndexRow> rows = {{a, 5, 0b01}, {b, 5, 0b1}};
+  EXPECT_THROW(index.build(rows), std::invalid_argument);
 }
 
 TEST(IncrementalIndex, ResetDropsTuplesButKeepsLifetimeStats) {
@@ -231,10 +238,14 @@ TEST(IncrementalIndex, ResetDropsTuplesButKeepsLifetimeStats) {
   expect_sweep_equivalence(index, {make_tuple({10, 20}, 0b01)});
 }
 
-// Randomized churn script: every epoch adds fresh tuples and removes a
-// random live subset, checking sweep equivalence (serial and multi-lane)
-// after each batch. Shrunk thresholds keep compactions and rebuilds firing
-// throughout instead of only at scale.
+// Randomized churn script: every epoch adds fresh tuples, expires the
+// tuples added before the previous epoch and removes a random subset of the
+// rest, checking sweep equivalence (serial and multi-lane) after each
+// batch. Shrunk thresholds keep compactions and rebuilds firing
+// throughout instead of only at scale. At random epochs the index is first
+// replaced by a bulk build over the live set, as the stream engine does
+// after an overflow or a restore; the script's later removes must find the
+// bulk-built rows by key.
 TEST(IncrementalIndex, RandomChurnStaysEquivalentThroughCompactionAndRebuild) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     topology::Rng rng(seed * 7477);
@@ -245,14 +256,40 @@ TEST(IncrementalIndex, RandomChurnStaysEquivalentThroughCompactionAndRebuild) {
 
     std::unordered_map<std::uint64_t, PathCommTuple> live;
     std::uint64_t next_key = 0;
+    std::size_t builds = 0;
+    std::uint64_t previous_epoch_start = 0;  // first key added last epoch
     for (int epoch = 0; epoch < 12; ++epoch) {
+      if (epoch > 0 && rng.chance(0.3)) {
+        std::vector<std::uint64_t> keys;
+        for (const auto& [key, tuple] : live) keys.push_back(key);
+        std::sort(keys.begin(), keys.end());
+        std::vector<IndexRow> rows;
+        for (const auto key : keys) {
+          const auto view = TupleView::prepare(live.at(key));
+          ASSERT_TRUE(view.has_value());
+          rows.push_back({live.at(key).path, key, view->upper_mask});
+        }
+        const auto stats_before = index.stats();
+        index.build(rows);
+        ++builds;
+        EXPECT_EQ(index.stats(), stats_before) << "a bulk build applies no deltas";
+        EXPECT_EQ(index.dead_rows(), 0u);
+        EXPECT_EQ(index.dead_ids(), 0u);
+        std::vector<PathCommTuple> built;
+        for (const auto key : keys) built.push_back(live.at(key));
+        expect_sweep_equivalence(index, built);
+      }
       std::vector<IndexDelta> deltas;
+      const std::uint64_t expire_below = previous_epoch_start;
+      previous_epoch_start = next_key;
       const std::size_t adds = 10 + rng.below(30);
       for (std::size_t i = 0; i < adds; ++i) {
         std::vector<bgp::Asn> path;
         const std::size_t len = 1 + rng.below(6);
         while (path.size() < len) {
-          const bgp::Asn asn = 1 + static_cast<bgp::Asn>(rng.below(40));
+          // The AS universe drifts by 20 per epoch, so ASes vanish as their
+          // tuples expire and dead ids pile up past the reclaim threshold.
+          const bgp::Asn asn = 1 + static_cast<bgp::Asn>(20 * epoch + rng.below(40));
           if (std::find(path.begin(), path.end(), asn) == path.end()) path.push_back(asn);
         }
         auto tuple = make_tuple(std::move(path), static_cast<std::uint32_t>(rng.below(64)));
@@ -269,7 +306,9 @@ TEST(IncrementalIndex, RandomChurnStaysEquivalentThroughCompactionAndRebuild) {
       for (const auto& [key, tuple] : live) keys.push_back(key);
       std::sort(keys.begin(), keys.end());
       for (const auto key : keys) {
-        if (rng.chance(0.35)) {
+        // Tuples older than the previous epoch expire, as under a stream
+        // window; the rest die at random.
+        if (key < expire_below || rng.chance(0.35)) {
           deltas.push_back(remove_delta(key));
           live.erase(key);
         }
@@ -284,9 +323,11 @@ TEST(IncrementalIndex, RandomChurnStaysEquivalentThroughCompactionAndRebuild) {
       lanes.threads = 4;
       expect_sweep_equivalence(index, remaining, lanes);
     }
-    // The shrunk thresholds must actually fire for this test to mean much.
-    EXPECT_GT(index.stats().group_compactions + index.stats().full_rebuilds, 0u)
-        << "seed " << seed;
+    // The shrunk thresholds and the bulk build must actually fire for this
+    // test to mean much.
+    EXPECT_GT(index.stats().group_compactions, 0u) << "seed " << seed;
+    EXPECT_GT(index.stats().full_rebuilds, 0u) << "seed " << seed;
+    EXPECT_GT(builds, 0u) << "seed " << seed;
   }
 }
 

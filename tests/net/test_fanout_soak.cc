@@ -114,15 +114,15 @@ TEST(FanoutSoak, ThousandMixedFilterSubscribersSeeExactGapFreeStreams) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> received{0};
   std::thread drainer([&] {
-    auto poller = Poller::create(default_poller_backend());
+    Poller poller;
     for (std::size_t i = 0; i < kSubs; ++i) {
-      poller->set(subs[i].conn->poll_info().read_fd, i, /*want_read=*/true,
+      poller.set(subs[i].conn->poll_info().read_fd, i, /*want_read=*/true,
                   /*want_write=*/false);
     }
     std::vector<PollerEvent> ready;
     std::vector<std::uint8_t> chunk(16384);
     while (!stop.load()) {
-      (void)poller->wait(ready, 50);
+      (void)poller.wait(ready, 50);
       for (const auto& event : ready) {
         auto& sub = subs[event.token];
         if (sub.eof) continue;
@@ -135,7 +135,7 @@ TEST(FanoutSoak, ThousandMixedFilterSubscribersSeeExactGapFreeStreams) {
           }
           if (status == IoStatus::kEof) {
             sub.eof = true;
-            poller->remove(sub.conn->poll_info().read_fd);
+            poller.remove(sub.conn->poll_info().read_fd);
           }
           break;
         }

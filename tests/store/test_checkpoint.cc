@@ -1,5 +1,5 @@
-// Checkpoint-layer tests: the three checkpoint file codecs (state, manifest,
-// index envelope) round-trip and reject corruption, and the Store's
+// Checkpoint-layer tests: the checkpoint file codecs (state, manifest)
+// round-trip and reject corruption, and the Store's
 // checkpoint lifecycle holds — manifest-last commit, WAL rotation, retention
 // trimming, GC of dead segments and expired checkpoint files, cadence of
 // maybe_checkpoint, degraded mode under injected disk-full, and history
@@ -35,7 +35,6 @@ StateFile sample_state(topology::Rng& rng) {
   StateFile state;
   state.shards = 4;
   state.window_epochs = 12;
-  state.incremental_index = true;
   state.thresholds.tagger = 0.25;
   state.thresholds.silent = 0.5;
   state.thresholds.forward = 0.75;
@@ -78,7 +77,6 @@ TEST(CheckpointFormat, StateFileRoundTrips) {
 
   EXPECT_EQ(decoded.shards, state.shards);
   EXPECT_EQ(decoded.window_epochs, state.window_epochs);
-  EXPECT_EQ(decoded.incremental_index, state.incremental_index);
   EXPECT_EQ(decoded.thresholds.tagger, state.thresholds.tagger);
   EXPECT_EQ(decoded.thresholds.silent, state.thresholds.silent);
   EXPECT_EQ(decoded.thresholds.forward, state.thresholds.forward);
@@ -133,18 +131,6 @@ TEST(CheckpointFormat, ManifestRoundTripsAndEnforcesAscent) {
   auto flipped = encode_manifest(manifest);
   flipped[6] ^= 0x01;
   EXPECT_THROW((void)decode_manifest(flipped), StoreError);
-}
-
-TEST(CheckpointFormat, IndexEnvelopeRoundTripsAndValidates) {
-  const std::vector<std::uint8_t> image = {1, 2, 3, 4, 5, 6, 7, 8};
-  const auto sealed = encode_index_file(image);
-  const auto payload = index_file_payload(sealed);
-  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), image.begin(), image.end()));
-
-  auto corrupt = sealed;
-  corrupt[6] ^= 0x10;
-  EXPECT_THROW((void)index_file_payload(corrupt), StoreError);
-  EXPECT_THROW((void)index_file_payload(std::span(sealed.data(), 8)), StoreError);
 }
 
 TEST(StoreCheckpoint, WritesFilesRotatesWalAndGcsDeadSegments) {

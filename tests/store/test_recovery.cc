@@ -1,8 +1,9 @@
 // Recovery-path tests: a fresh Service + Store pair recovering a data
 // directory must reproduce the uninterrupted run exactly — engine counter
 // map, epoch, feed marks, event-log contents — whether the directory holds
-// WAL only, checkpoint only, or checkpoint + tail. Degraded inputs (corrupt
-// manifest, corrupt newest checkpoint) recover what survives and warn.
+// WAL only, checkpoint only, or checkpoint + tail, and whether an older
+// store wrote it. Degraded inputs (corrupt manifest, corrupt newest
+// checkpoint) recover what survives and warn.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "api/service.h"
+#include "api/wire.h"
 #include "store/io.h"
 #include "store/store.h"
 #include "store_test_util.h"
@@ -126,43 +128,81 @@ TEST(Recovery, CheckpointPlusTailReplayMatchesLiveRun) {
   EXPECT_EQ(stats->epoch, live_epoch) << "epoch continuity through kStats";
 }
 
-TEST(Recovery, IndexImageRestoresWithoutRebuild) {
-  TempDir dir("rec_index_image");
-  core::CounterMap live_map;
-  {
-    api::Service service(testutil::test_service_config());
-    Store store({.dir = dir.str(), .checkpoint_every_epochs = 0});
-    run_live(service, store, 4, 1003, /*checkpoint_at=*/3);
-    live_map = snapshot_map(service);
+// Data dirs checked in under tests/data, written by the store as it was
+// before it stopped persisting the sweep index, each ending in a checkpoint
+// at its last epoch (4 shards, testutil::random_dataset batches):
+//   store_legacy_index  window 3, checkpoints at epochs 3, 6 and 7, each
+//                       with its ckpt-*.index image beside .state and .snap
+//   store_legacy_flag0  window 0, checkpoints at epochs 2 and 4, written
+//                       with that store's index mode off: the retired flag
+//                       byte of each .state is 0 and no .index exists
+// Recovery must reproduce the newest .snap byte for byte, and the next
+// checkpoint's GC must leave no .index file behind. With `corrupt_images`,
+// every .index in the copy is damaged first; recovery never opens one, so
+// nothing may change.
+void expect_legacy_dir_recovers(const char* fixture, bool corrupt_images = false) {
+  TempDir dir(fixture);
+  fs::copy(fs::path(BGPCU_TEST_DATA_DIR) / fixture, dir.str(),
+           fs::copy_options::recursive | fs::copy_options::overwrite_existing);
+  if (corrupt_images) {
+    std::size_t corrupted = 0;
+    for (const auto& entry : fs::directory_iterator(dir.str())) {
+      if (entry.path().extension() != ".index") continue;
+      corrupt_file(entry.path().string());
+      ++corrupted;
+    }
+    ASSERT_GT(corrupted, 0u) << fixture << " holds no .index file";
   }
-  ASSERT_TRUE(fs::exists(checkpoint_path(dir.str(), 3, ".index")));
+  const auto manifest = decode_manifest(io::read_file(manifest_path(dir.str())));
+  ASSERT_FALSE(manifest.checkpoints.empty());
+  const auto newest = manifest.checkpoints.back();
+  const auto newest_snap = io::read_file(checkpoint_path(dir.str(), newest, ".snap"));
 
-  api::Service service(testutil::test_service_config());
-  Store store({.dir = dir.str(), .checkpoint_every_epochs = 0});
-  const auto rec = store.recover(service);
-  EXPECT_TRUE(rec.index_image_loaded) << "dense-id arrays came back from the .index file";
-  EXPECT_EQ(snapshot_map(service), live_map);
-}
-
-TEST(Recovery, CorruptIndexImageFallsBackToRebuild) {
-  TempDir dir("rec_index_corrupt");
-  core::CounterMap live_map;
-  {
-    api::Service service(testutil::test_service_config());
-    Store store({.dir = dir.str(), .checkpoint_every_epochs = 0});
-    run_live(service, store, 4, 1004, /*checkpoint_at=*/3);
-    live_map = snapshot_map(service);
-  }
-  corrupt_file(checkpoint_path(dir.str(), 3, ".index"));
-
-  api::Service service(testutil::test_service_config());
+  const auto state = load_newest_state(dir.str());
+  ASSERT_TRUE(state.has_value());
+  auto config = service_config_from(*state);
+  config.stream.engine.threads = 1;
+  api::Service service(config);
   Store store({.dir = dir.str(), .checkpoint_every_epochs = 0});
   const auto rec = store.recover(service);
   EXPECT_TRUE(rec.recovered);
+  ASSERT_TRUE(rec.checkpoint_epoch.has_value());
+  EXPECT_EQ(*rec.checkpoint_epoch, newest);
+  EXPECT_EQ(rec.resume_epoch, newest);
+  EXPECT_EQ(rec.batches_replayed, 0u) << "the final checkpoint left no WAL tail";
   EXPECT_FALSE(rec.index_image_loaded);
-  EXPECT_FALSE(rec.warnings.empty());
-  EXPECT_EQ(snapshot_map(service), live_map)
-      << "a bad index image costs a rebuild, never correctness";
+  EXPECT_TRUE(rec.warnings.empty());
+  const auto recovered = service.query({.kind = api::QueryKind::kSnapshot}).snapshot;
+  EXPECT_EQ(api::encode_snapshot(*recovered), newest_snap);
+
+  service.advance_epoch();
+  ASSERT_TRUE(store.checkpoint(service));
+  for (const auto& entry : fs::directory_iterator(dir.str())) {
+    EXPECT_NE(entry.path().extension(), ".index") << entry.path();
+  }
+  // GC took the images only: every older checkpoint is still retained.
+  EXPECT_EQ(store.manifest().checkpoints.size(), manifest.checkpoints.size() + 1);
+  for (const auto epoch : manifest.checkpoints) {
+    EXPECT_TRUE(fs::exists(checkpoint_path(dir.str(), epoch, ".state"))) << epoch;
+    EXPECT_TRUE(fs::exists(checkpoint_path(dir.str(), epoch, ".snap"))) << epoch;
+  }
+}
+
+TEST(Recovery, OlderDataDirWithIndexImagesRecoversToItsNewestSnap) {
+  ASSERT_TRUE(fs::exists(fs::path(BGPCU_TEST_DATA_DIR) / "store_legacy_index" /
+                         "ckpt-000000000007.index"));
+  expect_legacy_dir_recovers("store_legacy_index");
+}
+
+// An older store fell back to rebuilding the index from the shards when its
+// image failed to decode. Recovery now always rebuilds, so corrupt images
+// recover silently (no warning) to the same bytes.
+TEST(Recovery, CorruptIndexImageFallsBackToRebuild) {
+  expect_legacy_dir_recovers("store_legacy_index", /*corrupt_images=*/true);
+}
+
+TEST(Recovery, OlderDataDirWithIndexModeOffRecoversToItsNewestSnap) {
+  expect_legacy_dir_recovers("store_legacy_flag0");
 }
 
 TEST(Recovery, ManifestLossRebuildsByDirectoryScan) {
@@ -286,7 +326,6 @@ TEST(Recovery, OfflineConfigFingerprintRebuildsMatchingService) {
   const auto config = service_config_from(*state);
   EXPECT_EQ(config.stream.shards, 8u);
   EXPECT_EQ(config.stream.window_epochs, 5u);
-  EXPECT_TRUE(config.stream.incremental_index);
 }
 
 }  // namespace

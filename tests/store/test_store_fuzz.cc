@@ -1,12 +1,12 @@
 // Seed-driven structured fuzz over the store's on-disk decoders, in the
 // style of tests/api/test_wire.cc's wire fuzz: take valid bytes for every
-// file kind (WAL segment, manifest, state file, index envelope), apply
+// file kind (WAL segment, manifest, state file), apply
 // random byte flips, truncations, length inflation, splices, and chunk
 // duplication, and hold the decode contracts:
 //
 //   - read_segment_file NEVER throws: corruption is truncate-and-warn.
-//   - decode_manifest / decode_state_file / index_file_payload either
-//     succeed or throw StoreError — nothing else, no crash, no over-read
+//   - decode_manifest / decode_state_file either succeed or throw
+//     StoreError — nothing else, no crash, no over-read
 //     (ASan enforces the over-read half in CI).
 //   - A whole Store opening + recovering a mutated directory never throws.
 #include <gtest/gtest.h>
@@ -135,8 +135,6 @@ TEST(StoreFuzz, MutatedManifestAndCheckpointFilesDecodeCleanlyOrThrowStoreError)
        [](std::span<const std::uint8_t> b) { (void)decode_manifest(b); }},
       {"state", io::read_file(checkpoint_path(dir.str(), 2, ".state")),
        [](std::span<const std::uint8_t> b) { (void)decode_state_file(b); }},
-      {"index", io::read_file(checkpoint_path(dir.str(), 2, ".index")),
-       [](std::span<const std::uint8_t> b) { (void)index_file_payload(b); }},
   };
   for (const auto& entry : corpus) {
     entry.decode(entry.bytes);  // sanity: unmutated bytes decode

@@ -1,5 +1,5 @@
 // TupleShard unit tests: dedup/refresh semantics, epoch eviction, live
-// peer-column counter maintenance.
+// peer-column counter maintenance, index rows and the delta journal.
 #include <gtest/gtest.h>
 
 #include "stream/shard.h"
@@ -138,15 +138,31 @@ TEST(TupleShard, VersionBumpsOnMutationOnly) {
   EXPECT_GT(shard.version(), v1);
 }
 
-TEST(TupleShard, CollectViewsCarriesPrecomputedMasks) {
-  TupleShard shard;
+TEST(TupleShard, CollectRowsComeOutOldestFirstWithKeysAndMasks) {
+  // Keys 3, 7, 11 in accept order; the refresh at epoch 2 moves {10,20} to
+  // the newest end, so the rows come out {30,40}, {50}, {10,20}.
+  TupleShard shard(/*first_key=*/3, /*key_stride=*/4);
   (void)shard.ingest(tuple({10, 20}, {bgp::CommunityValue::regular(20, 7)}), 0);
-  std::vector<core::TupleView> views;
-  shard.collect_views(views);
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_FALSE(views[0].upper_at(0));
-  EXPECT_TRUE(views[0].upper_at(1));
-  EXPECT_EQ(views[0].path->size(), 2u);
+  (void)shard.ingest(tuple({30, 40}, {bgp::CommunityValue::regular(30, 1)}), 1);
+  (void)shard.ingest(tuple({50}), 1);
+  EXPECT_EQ(shard.ingest(tuple({10, 20}, {bgp::CommunityValue::regular(20, 7)}), 2),
+            IngestOutcome::kRefreshed);
+
+  std::vector<core::IndexRow> rows;
+  shard.collect_rows(rows);
+  ASSERT_EQ(rows.size(), 3u);
+  const auto path_of = [](const core::IndexRow& row) {
+    return std::vector<bgp::Asn>(row.path.begin(), row.path.end());
+  };
+  EXPECT_EQ(path_of(rows[0]), (std::vector<bgp::Asn>{30, 40}));
+  EXPECT_EQ(rows[0].key, 7u);
+  EXPECT_EQ(rows[0].upper_mask, 0b01u);
+  EXPECT_EQ(path_of(rows[1]), (std::vector<bgp::Asn>{50}));
+  EXPECT_EQ(rows[1].key, 11u);
+  EXPECT_EQ(rows[1].upper_mask, 0u);
+  EXPECT_EQ(path_of(rows[2]), (std::vector<bgp::Asn>{10, 20}));
+  EXPECT_EQ(rows[2].key, 3u);
+  EXPECT_EQ(rows[2].upper_mask, 0b10u);
 }
 
 TEST(TupleShardJournal, AddThenEvictBetweenDrainsCancels) {
@@ -219,7 +235,7 @@ TEST(TupleShardJournal, OverflowClearsDedupeState) {
   // Overflow drops the buffered journal (and everything journaled until the
   // next drain); the drain reports it and the shard starts a clean window
   // with no stale cancellations or pending adds.
-  TupleShard shard(0, 1, true, /*journal_cap=*/2);
+  TupleShard shard(0, 1, /*journal_cap=*/2);
   (void)shard.ingest(tuple({1, 2}), 0);
   (void)shard.ingest(tuple({3, 4}), 0);
   (void)shard.ingest(tuple({5, 6}), 0);     // third entry: over the cap

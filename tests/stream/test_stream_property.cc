@@ -12,12 +12,16 @@
 // the parallel kernel to the serial oracle through the snapshot path; the
 // window = 1 churn shapes turn the whole population over every epoch, so the
 // incremental index lives through heavy tombstoning, AS universes vanishing
-// and reappearing, and whole path-length groups dying; the rebuild shape
-// keeps the non-incremental fallback pinned to the same oracle; the tiny
-// journal-cap shape forces overflow -> rebuild-from-shards every snapshot).
+// and reappearing, and whole path-length groups dying; the restore shape
+// (`_rebuild`) replaces the engine every few epochs with a fresh one
+// restored from checkpoint_state(), sometimes under a different shard
+// count, so the bulk index build runs and incremental maintenance carries on
+// from it; the tiny journal-cap shape forces overflow -> bulk build every
+// snapshot).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 
 #include "core/engine.h"
@@ -63,10 +67,13 @@ struct ScenarioShape {
   /// serially, so threads > 1 shapes also pin parallel ≡ serial end-to-end
   /// through the snapshot path). 0 = auto.
   std::size_t threads = 0;
-  /// false = the non-incremental rebuild-per-snapshot fallback.
-  bool incremental = true;
+  /// Every this many epochs, replace the engine with a fresh one restored
+  /// from its checkpoint_state() between the epoch's ingest and its
+  /// snapshot; about one restore in three also changes the shard count (the
+  /// re-shard path). 0 = never.
+  std::size_t restore_every = 0;
   /// Per-shard journal-entry cap; a tiny value forces the overflow ->
-  /// rebuild-from-shard-state path on (nearly) every snapshot.
+  /// bulk-build path on (nearly) every snapshot.
   std::size_t journal_cap = TupleShard::kJournalCap;
   /// Shrunk compaction/rebuild thresholds so churn shapes exercise lazy
   /// compaction and id reclamation at test scale, not only in production.
@@ -84,21 +91,20 @@ TEST_P(StreamEquivalence, SnapshotEqualsBatchRunAtEveryEpoch) {
   config.engine.threads = shape.threads;
   config.shards = shape.shards;
   config.window_epochs = shape.window;
-  config.incremental_index = shape.incremental;
   config.journal_cap = shape.journal_cap;
   if (shape.tiny_index_thresholds) {
     config.index.compact_min_dead_rows = 8;
     config.index.rebuild_min_dead_ids = 8;
   }
-  StreamEngine engine(config);
+  auto engine = std::make_unique<StreamEngine>(config);
 
   // Independent window oracle: normalized tuple -> last-seen epoch.
   std::unordered_map<core::PathCommTuple, Epoch> oracle;
   core::Dataset pool;  // earlier tuples available for re-observation
 
   for (std::size_t e = 0; e < shape.epochs; ++e) {
-    if (e > 0) engine.advance_epoch();
-    const Epoch epoch = engine.epoch();
+    if (e > 0) engine->advance_epoch();
+    const Epoch epoch = engine->epoch();
 
     core::Dataset batch = random_dataset(rng, 40 + rng.below(60));
     for (const auto& old_tuple : pool) {
@@ -113,7 +119,15 @@ TEST_P(StreamEquivalence, SnapshotEqualsBatchRunAtEveryEpoch) {
       if (copy.path.empty() || copy.path.size() > core::kMaxPathLength) continue;
       oracle[std::move(copy)] = epoch;
     }
-    (void)engine.ingest(std::move(batch));
+    (void)engine->ingest(std::move(batch));
+
+    if (shape.restore_every != 0 && (e + 1) % shape.restore_every == 0) {
+      // (shards + r) % 9 + 1 with r < 8 never lands back on `shards`.
+      if (rng.chance(0.3)) config.shards = (config.shards + rng.below(8)) % 9 + 1;
+      auto restored = std::make_unique<StreamEngine>(config);
+      restored->restore_state(engine->checkpoint_state());
+      engine = std::move(restored);
+    }
 
     // Age the oracle exactly per the documented window semantics.
     if (shape.window != 0) {
@@ -131,11 +145,11 @@ TEST_P(StreamEquivalence, SnapshotEqualsBatchRunAtEveryEpoch) {
     for (const auto& [tuple, last] : oracle) live.push_back(tuple);
     core::deduplicate(live);
 
-    ASSERT_EQ(engine.live_tuples(), live.size()) << "epoch " << epoch;
-    const auto snap = engine.snapshot();
+    ASSERT_EQ(engine->live_tuples(), live.size()) << "epoch " << epoch;
+    const auto snap = engine->snapshot();
     const auto batch_run = core::ColumnEngine().run(live);
     ASSERT_EQ(snap->counter_map(), batch_run.counter_map())
-        << "seed " << seed << " shards " << shape.shards << " window " << shape.window
+        << "seed " << seed << " shards " << config.shards << " window " << shape.window
         << " epoch " << epoch;
     EXPECT_EQ(snap->columns_swept(), batch_run.columns_swept());
   }
@@ -158,8 +172,10 @@ constexpr ScenarioShape kShapes[] = {
      .tiny_index_thresholds = true},
     {.shards = 7, .window = 1, .epochs = 9, .reobserve_prob = 0.10, .threads = 4,
      .tiny_index_thresholds = true},
-    // The non-incremental fallback stays pinned to the same oracle.
-    {.shards = 4, .window = 2, .epochs = 6, .reobserve_prob = 0.10, .incremental = false},
+    // Restart every other epoch: recovery's bulk build, then incremental
+    // maintenance of the bulk-built rows, pinned to the same oracle. Named
+    // `_rebuild`: each restore rebuilds the index from the restored shards.
+    {.shards = 4, .window = 2, .epochs = 8, .reobserve_prob = 0.10, .restore_every = 2},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,13 +185,13 @@ INSTANTIATE_TEST_SUITE_P(
       const auto& shape = std::get<1>(info.param);
       return "seed" + std::to_string(std::get<0>(info.param)) + "_sh" +
              std::to_string(shape.shards) + "_w" + std::to_string(shape.window) + "_t" +
-             std::to_string(shape.threads) + (shape.incremental ? "" : "_rebuild") +
+             std::to_string(shape.threads) + (shape.restore_every != 0 ? "_rebuild" : "") +
              (shape.tiny_index_thresholds ? "_churn" : "");
     });
 
 // The overflow path, end to end and randomized: a journal cap small enough
 // that every epoch overflows at least some shard, so snapshots repeatedly
-// rebuild the index from the shards' authoritative state and incremental
+// bulk-build the index from the shards' authoritative state and incremental
 // maintenance re-anchors afterwards. One shape is enough — the interesting
 // state space is inside the engine, not the shape grid.
 INSTANTIATE_TEST_SUITE_P(

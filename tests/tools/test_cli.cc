@@ -725,6 +725,24 @@ TEST_F(CliTest, ServeDataDirSurvivesRestartWithEpochContinuity) {
   ASSERT_TRUE(shut_down_cleanly(pid_file, log2));
 }
 
+TEST_F(CliTest, StoreCliVerifiesDataDirsWrittenByOlderStores) {
+  // tests/data holds two data dirs from the store version that still wrote
+  // ckpt-*.index images (one with them, one with that store's index mode
+  // off). Both must verify clean, and inspect lists only .state and .snap.
+  for (const char* fixture : {"store_legacy_index", "store_legacy_flag0"}) {
+    const auto data_dir = dir_ / fixture;
+    fs::copy(fs::path(BGPCU_TEST_DATA_DIR) / fixture, data_dir, fs::copy_options::recursive);
+    const auto verify = run_split(store_bin() + " verify '" + data_dir.string() + "'");
+    EXPECT_EQ(verify.exit_code, 0) << fixture << "\n" << verify.out << verify.err;
+    EXPECT_NE(verify.out.find("verification ok"), std::string::npos) << verify.out;
+    const auto inspect = run_split(store_bin() + " inspect '" + data_dir.string() + "'");
+    EXPECT_EQ(inspect.exit_code, 0) << inspect.err;
+    EXPECT_NE(inspect.out.find(".state"), std::string::npos) << inspect.out;
+    EXPECT_NE(inspect.out.find(".snap"), std::string::npos) << inspect.out;
+    EXPECT_EQ(inspect.out.find(".index"), std::string::npos) << inspect.out;
+  }
+}
+
 TEST_F(CliTest, StoreCliInspectVerifyCompactAndCorruptionExitCodes) {
   // Populate a store directory with a short daemon run, then drive the
   // offline admin tool over it: inspect and verify succeed on the healthy

@@ -59,7 +59,7 @@ int cmd_inspect(const std::string& dir) {
             << manifest.wal_start_seq << "\n";
   for (const auto epoch : manifest.checkpoints) {
     std::cout << "  checkpoint epoch " << epoch;
-    for (const char* suffix : {".state", ".snap", ".index"}) {
+    for (const char* suffix : {".state", ".snap"}) {
       const auto path = store::checkpoint_path(dir, epoch, suffix);
       std::error_code ec;
       if (fs::exists(path, ec)) {
@@ -135,16 +135,6 @@ int cmd_verify(const std::string& dir) {
                 << " AS(es)\n";
     } catch (const std::exception& e) {
       fail(snap_path + ": " + e.what());
-    }
-    const auto index_path = store::checkpoint_path(dir, epoch, ".index");
-    if (fs::exists(index_path, ec)) {
-      try {
-        const auto bytes = store::io::read_file(index_path);
-        (void)store::index_file_payload(bytes);
-        std::cout << "checkpoint " << epoch << " .index: ok\n";
-      } catch (const store::StoreError& e) {
-        fail(index_path + ": " + e.what());
-      }
     }
   }
 

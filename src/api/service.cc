@@ -81,8 +81,9 @@ std::optional<stream::Epoch> EventLog::oldest_epoch() const {
 Service::Service(ServiceConfig config)
     : config_(std::move(config)),
       engine_(config_.stream),
-      published_(std::make_shared<const core::InferenceResult>(
-          core::CounterMap{}, config_.stream.engine.thresholds, 0)),
+      published_{std::make_shared<const core::InferenceResult>(
+                     core::CounterMap{}, config_.stream.engine.thresholds, 0),
+                 0},
       log_(config_.event_log_capacity) {
   // The engine's constructor already forced the obs catalog, so no facade-
   // locked path ever interns (see the matching note in StreamEngine).
@@ -114,15 +115,19 @@ QueryResponse Service::query(const QueryRequest& request) const {
   switch (request.kind) {
     case QueryKind::kClassOf: {
       m.api_query_class_of.add(1);
-      const auto snapshot = engine_.snapshot();
-      response.asn_class = AsnClass{request.asn, snapshot->usage(request.asn),
-                                    snapshot->counters(request.asn)};
+      const auto published = this->published();
+      response.epoch = published.epoch;
+      response.asn_class = AsnClass{request.asn, published.snapshot->usage(request.asn),
+                                    published.snapshot->counters(request.asn)};
       break;
     }
-    case QueryKind::kSnapshot:
+    case QueryKind::kSnapshot: {
       m.api_query_snapshot.add(1);
-      response.snapshot = engine_.snapshot();
+      auto published = this->published();
+      response.epoch = published.epoch;
+      response.snapshot = std::move(published.snapshot);
       break;
+    }
     case QueryKind::kLiveCounters: {
       m.api_query_live_counters.add(1);
       const auto counters = engine_.live_counters(request.asn);
@@ -159,12 +164,14 @@ QueryResponse Service::query(const QueryRequest& request) const {
       break;
     case QueryKind::kHistory: {
       m.api_query_history.add(1);
-      // The provider is copied out so its (possibly slow) disk reads run
-      // without holding the facade mutex.
+      // Both are copied out, so the provider's (possibly slow) disk reads
+      // run with no lock held.
       HistoryProvider provider;
+      Published published;
       {
-        const std::lock_guard lock(facade_mutex_);
+        const std::lock_guard lock(query_mutex_);
         provider = history_provider_;
+        published = published_;
       }
       std::vector<HistoryPoint> points;
       if (provider) {
@@ -178,11 +185,12 @@ QueryResponse Service::query(const QueryRequest& request) const {
           points.push_back(point);
         }
       }
-      // Always end the series at "now": the live class closes the evolution
-      // whether or not any retained checkpoint covers this AS.
-      const auto snapshot = engine_.snapshot();
-      const auto usage = snapshot->usage(request.asn);
-      const auto now = engine_.epoch();
+      // Always end the series at the published epoch: the published class
+      // closes the evolution whether or not any retained checkpoint covers
+      // this AS.
+      const auto usage = published.snapshot->usage(request.asn);
+      const auto now = published.epoch;
+      response.epoch = now;
       if (points.empty()) {
         points.push_back({now, usage});
       } else if (!(points.back().usage == usage)) {
@@ -232,8 +240,9 @@ EpochDelta Service::publish() {
     const std::lock_guard lock(facade_mutex_);
     auto current = engine_.snapshot();
     delta.epoch = engine_.epoch();
-    delta.changes = stream::diff_classifications(*published_, *current);
-    published_ = std::move(current);
+    // published_ changes only under facade_mutex_, so it is read bare here.
+    delta.changes = stream::diff_classifications(*published_.snapshot, *current);
+    publish_locked(std::move(current), delta.epoch);
     if (!delta.changes.empty()) {
       log_.push(delta);
       // Serialize-once cache for encoded subscriptions: subscriptions with
@@ -378,7 +387,7 @@ std::optional<stream::Epoch> Service::replay_horizon() const {
 }
 
 void Service::set_history_provider(HistoryProvider provider) {
-  const std::lock_guard lock(facade_mutex_);
+  const std::lock_guard lock(query_mutex_);
   history_provider_ = std::move(provider);
 }
 
@@ -394,10 +403,21 @@ void Service::preload_events(std::vector<EpochDelta> deltas) {
 }
 
 void Service::rebaseline() {
-  // Snapshot first: taking the engine's exclusive lock while holding the
-  // facade mutex matches publish()'s lock order.
+  // Under the facade mutex, as in publish(): the two must not interleave.
   const std::lock_guard lock(facade_mutex_);
-  published_ = engine_.snapshot();
+  publish_locked(engine_.snapshot(), engine_.epoch());
+}
+
+Service::Published Service::published() const {
+  const std::lock_guard lock(query_mutex_);
+  return published_;
+}
+
+void Service::publish_locked(stream::SnapshotPtr snapshot, stream::Epoch epoch) {
+  Published next{std::move(snapshot), epoch};
+  const std::lock_guard lock(query_mutex_);
+  std::swap(published_, next);
+  // `next` now holds the old answer; it is released after the unlock.
 }
 
 }  // namespace bgpcu::api

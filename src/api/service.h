@@ -36,13 +36,15 @@ struct ServiceConfig {
 };
 
 /// What a QueryRequest asks for. Values are wire-stable (see api/wire.h).
+/// kClassOf, kSnapshot and kHistory answer from the published epoch (the
+/// last publish() or rebaseline()); the other kinds are real-time.
 enum class QueryKind : std::uint8_t {
-  kClassOf = 1,       ///< Swept class + counters for one AS.
-  kSnapshot = 2,      ///< Full InferenceResult over the live tuple set.
+  kClassOf = 1,       ///< Published class + counters for one AS.
+  kSnapshot = 2,      ///< The published InferenceResult.
   kLiveCounters = 3,  ///< Real-time peer-column evidence for one AS (no sweep).
   kStats = 4,         ///< Engine/service health counters.
   kMetrics = 5,       ///< Full observability scrape (obs::Registry::collect).
-  kHistory = 6,       ///< Class evolution of one AS across retained epochs.
+  kHistory = 6,       ///< Class evolution of one AS, closed by its published class.
 };
 
 /// A single typed request against the service.
@@ -98,9 +100,11 @@ struct ServiceStats {
 /// Union-style response; exactly the member matching `kind` is engaged.
 struct QueryResponse {
   QueryKind kind = QueryKind::kStats;
+  /// kClassOf, kSnapshot, kHistory: the published epoch the answer is from.
+  stream::Epoch epoch = 0;
   std::optional<AsnClass> asn_class;  ///< kClassOf, kLiveCounters.
-  /// kSnapshot: a shared immutable handle onto the engine's cached result —
-  /// bulk queries share one object instead of deep-copying the counter map.
+  /// kSnapshot: a shared immutable handle onto the published result — bulk
+  /// queries share one object instead of deep-copying the counter map.
   stream::SnapshotPtr snapshot;
   std::optional<ServiceStats> stats;      ///< kStats.
   std::optional<obs::Snapshot> metrics;   ///< kMetrics.
@@ -158,8 +162,8 @@ using EncodedEventSink = std::function<void(stream::Epoch, const EncodedEventPtr
 /// Supplies the retained-history part of a kHistory answer: class points for
 /// `asn` at past epochs, strictly ascending, from whatever longitudinal
 /// storage backs the service (store::Store in the serving daemon). The
-/// service appends the live class itself, so a provider never has to know
-/// the current epoch.
+/// service appends the published class itself, so a provider never has to
+/// know the published epoch.
 using HistoryProvider = std::function<std::vector<HistoryPoint>(bgp::Asn)>;
 
 /// Handle for unsubscribe; never reused within one Service.
@@ -199,12 +203,17 @@ class EventLog {
 ///     service.publish();            // diffs, logs, notifies subscribers
 ///   }
 ///
-/// Thread model: `ingest`/`query(kClassOf is a sweep; kLiveCounters/kStats
-/// are lock-light)` follow the engine's concurrency rules; `publish`,
-/// `subscribe`, `unsubscribe`, and `replay` serialize on a facade mutex.
-/// publish() invokes callbacks *outside* that mutex, so a callback may
-/// safely subscribe/unsubscribe re-entrantly; replayed deliveries during
-/// subscribe() run under the mutex (see subscribe()).
+/// Thread model: `ingest` follows the engine's concurrency rules. `query`
+/// never sweeps: kClassOf/kSnapshot/kHistory copy the published handle
+/// under a mutex that is never held across a sweep, and kLiveCounters is
+/// lock-light, so any number of threads may query while publish() sweeps
+/// (kStats and kMetrics read the subscription and event-log counts under
+/// the facade mutex, so those two wait out a publish's sweep).
+/// `publish`, `rebaseline`, `subscribe`, `unsubscribe`, and `replay`
+/// serialize on a facade mutex. publish() invokes callbacks *outside* that
+/// mutex, so a callback may safely subscribe/unsubscribe re-entrantly;
+/// replayed deliveries during subscribe() run under the mutex (see
+/// subscribe()).
 class Service {
  public:
   explicit Service(ServiceConfig config = {});
@@ -217,14 +226,23 @@ class Service {
 
   [[nodiscard]] stream::Epoch epoch() const;
 
-  /// Answers one typed request. kSnapshot/kClassOf sweep (cached when the
-  /// engine is unchanged); kLiveCounters/kStats never sweep.
+  /// Answers one typed request; never sweeps. kClassOf, kSnapshot and
+  /// kHistory answer from the published snapshot and carry its epoch, so an
+  /// answer never runs ahead of what subscribers were sent. Before the first
+  /// publish() or rebaseline() that is the empty snapshot at epoch 0.
+  /// kLiveCounters, kStats and kMetrics are real-time.
   [[nodiscard]] QueryResponse query(const QueryRequest& request) const;
 
-  /// Snapshots, diffs against the previously published snapshot, appends the
-  /// batch to the event log, and dispatches it through every subscription
-  /// filter. Returns the full (unfiltered) batch. Publishing twice without
-  /// an intervening change yields an empty batch and logs nothing.
+  /// The live cut: exact inference over the engine's live tuple set now
+  /// (StreamEngine::snapshot), which may be ahead of the published epoch.
+  /// Sweeps unless the engine is unchanged since the last sweep.
+  [[nodiscard]] stream::SnapshotPtr snapshot() const { return engine_.snapshot(); }
+
+  /// Snapshots, diffs against the previously published snapshot, makes the
+  /// new one the published answer at the current epoch, appends the batch
+  /// to the event log, and dispatches it through every subscription filter.
+  /// Returns the full (unfiltered) batch. Publishing twice without an
+  /// intervening change yields an empty batch and logs nothing.
   EpochDelta publish();
 
   /// Registers `callback` for future publishes. When `replay_from` is set,
@@ -284,9 +302,9 @@ class Service {
   /// subscribers can replay across the restart. No callbacks fire.
   void preload_events(std::vector<EpochDelta> deltas);
 
-  /// Re-anchors the publish baseline at the engine's current snapshot
-  /// without diffing or notifying: recovery replays already-published
-  /// history, which must not be re-announced as fresh transitions.
+  /// Publishes the engine's current snapshot at its current epoch without
+  /// diffing or notifying: recovery replays already-published history,
+  /// which must not be re-announced as fresh transitions.
   void rebaseline();
 
   /// Exports the engine's durable state (see StreamEngine::checkpoint_state).
@@ -328,14 +346,28 @@ class Service {
   [[nodiscard]] static std::vector<stream::ClassChange> apply_subscription(
       const Subscription& subscription, const EpochDelta& delta);
 
+  /// The published answer: the snapshot subscribers were last sent (the
+  /// next publish's diff baseline) and the epoch it was published at.
+  struct Published {
+    stream::SnapshotPtr snapshot;
+    stream::Epoch epoch = 0;
+  };
+
+  [[nodiscard]] Published published() const;
+  /// Swaps in a new published answer. Caller holds facade_mutex_.
+  void publish_locked(stream::SnapshotPtr snapshot, stream::Epoch epoch);
+
   ServiceConfig config_;
   stream::StreamEngine engine_;
+  /// Guards what queries read and is never held across a sweep: publish()
+  /// holds facade_mutex_ across its sweep, so queries must not wait on it.
+  mutable std::mutex query_mutex_;
+  Published published_;               ///< Written under both mutexes.
+  HistoryProvider history_provider_;  ///< Guarded by query_mutex_.
   mutable std::mutex facade_mutex_;  ///< Guards everything below.
-  stream::SnapshotPtr published_;    ///< Baseline for the next publish's diff.
   EventLog log_;
   std::vector<Subscription> subscriptions_;
   SubscriptionId next_id_ = 1;
-  HistoryProvider history_provider_;  ///< Guarded by facade_mutex_.
   /// Scrape-time gauges (subscriptions, event-log occupancy); registered in
   /// the constructor, declared last so they unregister first.
   obs::ScopedCollector subs_collector_;

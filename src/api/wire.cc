@@ -99,10 +99,14 @@ std::vector<std::uint8_t> seal_frame(FrameType type, std::vector<std::uint8_t> p
 }
 
 /// Rejects a frame-type byte no frame may carry: out of range, or one of
-/// the retired pre-v3 handshake types, which are never reused.
+/// the retired types, which are never reused.
 void check_frame_type(std::uint8_t type_byte) {
   if (type_byte < 1 || type_byte > kMaxFrameType) {
     throw WireFormatError("unknown frame type " + std::to_string(type_byte));
+  }
+  if (type_byte == 3 || type_byte == 4) {
+    throw WireFormatError("retired frame type " + std::to_string(type_byte) +
+                          " (the pre-v4 query request/response)");
   }
   if (type_byte == 5 || type_byte == 6) {
     throw WireFormatError("retired frame type " + std::to_string(type_byte) +
@@ -427,16 +431,6 @@ EpochDelta decode_delta_batch(std::span<const std::uint8_t> frame) {
   return delta;
 }
 
-std::vector<std::uint8_t> encode_query_request(const QueryRequest& request) {
-  std::vector<std::uint8_t> payload;
-  payload.push_back(static_cast<std::uint8_t>(request.kind));
-  if (request.kind == QueryKind::kClassOf || request.kind == QueryKind::kLiveCounters ||
-      request.kind == QueryKind::kHistory) {
-    put_varint(payload, request.asn);
-  }
-  return seal_frame(FrameType::kQueryRequest, std::move(payload));
-}
-
 namespace {
 
 QueryKind get_query_kind(Reader& r) {
@@ -446,27 +440,6 @@ QueryKind get_query_kind(Reader& r) {
   }
   return static_cast<QueryKind>(byte);
 }
-
-}  // namespace
-
-QueryRequest decode_query_request(std::span<const std::uint8_t> frame) {
-  const auto parsed = expect_single_frame(frame, FrameType::kQueryRequest, "query request");
-  Reader r{parsed.payload};
-  QueryRequest request;
-  request.kind = get_query_kind(r);
-  if (request.kind == QueryKind::kClassOf || request.kind == QueryKind::kLiveCounters ||
-      request.kind == QueryKind::kHistory) {
-    const auto asn = r.varint("query asn");
-    if (asn > 0xFFFFFFFFull) {
-      throw WireFormatError("query ASN out of 32-bit range");
-    }
-    request.asn = static_cast<bgp::Asn>(asn);
-  }
-  expect_exhausted(r, "query request");
-  return request;
-}
-
-namespace {
 
 // Metrics scrape payload (QueryKind::kMetrics). Decode caps are deliberate:
 // a scrape is bounded by the instrument catalog, so a frame claiming
@@ -545,11 +518,24 @@ obs::Snapshot get_metrics_payload(Reader& r) {
   return snapshot;
 }
 
-/// Body shared by kQueryResponse (artifact) and kResponse (tagged network)
-/// frames — same payload, different envelope.
+/// True for the kinds answered from the published epoch, whose responses
+/// carry that epoch after the kind byte.
+bool carries_epoch(QueryKind kind) {
+  return kind == QueryKind::kClassOf || kind == QueryKind::kSnapshot ||
+         kind == QueryKind::kHistory;
+}
+
+/// True for the kinds whose request names one AS.
+bool names_asn(QueryKind kind) {
+  return kind == QueryKind::kClassOf || kind == QueryKind::kLiveCounters ||
+         kind == QueryKind::kHistory;
+}
+
+/// The kResponse body after its request id.
 void put_query_response_payload(std::vector<std::uint8_t>& payload,
                                 const QueryResponse& response) {
   payload.push_back(static_cast<std::uint8_t>(response.kind));
+  if (carries_epoch(response.kind)) put_varint(payload, response.epoch);
   switch (response.kind) {
     case QueryKind::kClassOf:
     case QueryKind::kLiveCounters: {
@@ -618,6 +604,7 @@ void put_query_response_payload(std::vector<std::uint8_t>& payload,
 QueryResponse get_query_response_payload(Reader& r) {
   QueryResponse response;
   response.kind = get_query_kind(r);
+  if (carries_epoch(response.kind)) response.epoch = r.varint("response epoch");
   switch (response.kind) {
     case QueryKind::kClassOf:
     case QueryKind::kLiveCounters: {
@@ -683,21 +670,6 @@ QueryResponse get_query_response_payload(Reader& r) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> encode_query_response(const QueryResponse& response) {
-  std::vector<std::uint8_t> payload;
-  put_query_response_payload(payload, response);
-  return seal_frame(FrameType::kQueryResponse, std::move(payload));
-}
-
-QueryResponse decode_query_response(std::span<const std::uint8_t> frame) {
-  const auto parsed =
-      expect_single_frame(frame, FrameType::kQueryResponse, "query response");
-  Reader r{parsed.payload};
-  auto response = get_query_response_payload(r);
-  expect_exhausted(r, "query response");
-  return response;
-}
 
 // ------------------------------------------------- network protocol frames --
 
@@ -899,11 +871,7 @@ std::vector<std::uint8_t> encode_request(const RequestFrame& request) {
   std::vector<std::uint8_t> payload;
   put_varint(payload, request.request_id);
   payload.push_back(static_cast<std::uint8_t>(request.request.kind));
-  if (request.request.kind == QueryKind::kClassOf ||
-      request.request.kind == QueryKind::kLiveCounters ||
-      request.request.kind == QueryKind::kHistory) {
-    put_varint(payload, request.request.asn);
-  }
+  if (names_asn(request.request.kind)) put_varint(payload, request.request.asn);
   return seal_frame(FrameType::kRequest, std::move(payload));
 }
 
@@ -913,9 +881,7 @@ RequestFrame decode_request(std::span<const std::uint8_t> frame) {
   RequestFrame request;
   request.request_id = r.varint("request id");
   request.request.kind = get_query_kind(r);
-  if (request.request.kind == QueryKind::kClassOf ||
-      request.request.kind == QueryKind::kLiveCounters ||
-      request.request.kind == QueryKind::kHistory) {
+  if (names_asn(request.request.kind)) {
     const auto asn = r.varint("request asn");
     if (asn > 0xFFFFFFFFull) {
       throw WireFormatError("request ASN out of 32-bit range");
@@ -927,8 +893,6 @@ RequestFrame decode_request(std::span<const std::uint8_t> frame) {
 }
 
 std::vector<std::uint8_t> encode_response(const ResponseFrame& response) {
-  // The response body is the kQueryResponse payload layout, prefixed with
-  // the request id it answers.
   std::vector<std::uint8_t> payload;
   put_varint(payload, response.request_id);
   put_query_response_payload(payload, response.response);

@@ -1,5 +1,5 @@
-// Versioned binary wire format for the service artifacts: inference
-// snapshots, epoch delta batches, and query request/response framing. The
+// Versioned binary wire format for the service artifacts (inference
+// snapshots and epoch delta batches) and the network protocol frames. The
 // format is compact (varint-packed, delta-encoded ASNs), endian-stable
 // (every multi-byte field has a defined byte order independent of the host),
 // and versioned (a future-version frame is rejected loudly, never
@@ -58,18 +58,20 @@ inline constexpr std::uint8_t kWireVersion = 1;
 /// sheds and the subscribe-ack coverage byte always on; the v2 hello and
 /// welcome (types 5/6), feature negotiation and the server-busy error code
 /// are retired.
-inline constexpr std::uint8_t kProtocolVersion = 3;
+/// v4: kClassOf, kSnapshot and kHistory answer from the published epoch,
+/// and their responses carry it as a varint after the kind byte; the
+/// standalone query request/response frames (types 3/4) are retired.
+inline constexpr std::uint8_t kProtocolVersion = 4;
 
-/// Record types carried in a frame header. Values are wire-stable. Types
-/// 1-4 are the v1 artifact frames (files, logs); 7-19 are the network
+/// Record types carried in a frame header. Values are wire-stable. Types 1
+/// and 2 are the v1 artifact frames (files, logs); 7-19 are the network
 /// protocol frames spoken between bgpcu_serve and its clients (see
-/// docs/PROTOCOL.md). Types 5 and 6 (the pre-v3 hello/welcome) are
-/// retired: never reused, and every decoder rejects them.
+/// docs/PROTOCOL.md). Types 3 and 4 (the standalone query request/response)
+/// and 5 and 6 (the pre-v3 hello/welcome) are retired: never reused, and
+/// every decoder rejects them.
 enum class FrameType : std::uint8_t {
   kSnapshot = 1,       ///< Full InferenceResult.
   kDeltaBatch = 2,     ///< One EpochDelta (epoch + class changes).
-  kQueryRequest = 3,   ///< api::QueryRequest.
-  kQueryResponse = 4,  ///< api::QueryResponse.
   kError = 7,          ///< Request-level or connection-level failure.
   kSubscribe = 8,      ///< Open a filtered class-change subscription.
   kSubscribed = 9,     ///< Subscription acknowledgment with its id.
@@ -141,12 +143,6 @@ class FrameReader {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_delta_batch(const EpochDelta& delta);
 [[nodiscard]] EpochDelta decode_delta_batch(std::span<const std::uint8_t> frame);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_query_request(const QueryRequest& request);
-[[nodiscard]] QueryRequest decode_query_request(std::span<const std::uint8_t> frame);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_query_response(const QueryResponse& response);
-[[nodiscard]] QueryResponse decode_query_response(std::span<const std::uint8_t> frame);
 
 // --- Network protocol frames (types 7-19). These are the unit of exchange
 // --- between bgpcu_serve and its clients; layout in docs/PROTOCOL.md.

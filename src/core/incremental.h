@@ -35,7 +35,7 @@
 // equivalence scenarios).
 //
 // Not thread-safe; the stream engine serializes apply() and build() against
-// sweeps via its single-flight snapshot protocol.
+// sweeps with its sweep mutex.
 #ifndef BGPCU_CORE_INCREMENTAL_H
 #define BGPCU_CORE_INCREMENTAL_H
 

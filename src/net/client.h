@@ -1,5 +1,5 @@
 // net::Client — the synchronous, single-connection consumer side of the
-// frame protocol (v3), used by the protocol conformance tests; tools and
+// frame protocol (v4), used by the protocol conformance tests; tools and
 // benches ride net::ResilientClient. One Client wraps one Connection: the
 // constructor performs the hello/welcome handshake, query() is blocking
 // request/response (pushed events arriving in between are buffered, never

@@ -186,8 +186,10 @@ void ResilientClient::establish_subscription() {
     const auto resp = query_on_conn(req, held);
     if (!resp.snapshot) throw TransportError("snapshot re-sync returned no snapshot");
     const stream::Epoch gap_from = *replay;
-    const stream::Epoch gap_to =
-        std::max<stream::Epoch>(welcome_.epoch, last_seen_.value_or(0));
+    // The snapshot is the published one, so the gap closes at its epoch: the
+    // welcome's engine epoch can be ahead of it, and starting min_epoch_
+    // past the published epoch would drop the next published delta.
+    const stream::Epoch gap_to = resp.epoch;
     auto synth = synthesize_gap_delta(*resp.snapshot, gap_to);
     Event ev;
     ev.kind = Event::Kind::kGap;

@@ -10,15 +10,16 @@
 //     replay_complete flag (computed atomically with the replay inside the
 //     server's Service) to learn whether the event log still covered that
 //     epoch. When the replay horizon has passed it, the client re-syncs
-//     from a full snapshot and emits a GapDetected event carrying one
-//     synthesized catch-up delta instead of silently dropping changes;
+//     from the published snapshot and emits a kGap event that closes at
+//     that snapshot's epoch and carries one synthesized catch-up delta,
+//     instead of silently dropping changes;
 //   - per-request deadlines on query(), retrying across reconnects and
 //     busy sheds until the deadline expires;
 //   - optional client-side keepalive: an idle subscription stream is
 //     probed with kPing so a dead link is detected instead of blocking
 //     next_event() forever. The server's own probes are answered always.
 //
-// It speaks protocol v3 only: a server of another version refuses the
+// It speaks protocol v4 only: a server of another version refuses the
 // hello by name, which surfaces as a permanent ProtocolError.
 //
 // Single-threaded like net::Client: call it from one thread. Reconnection

@@ -1044,9 +1044,7 @@ Server::Server(api::Service& service, std::shared_ptr<Listener> listener,
   for (std::size_t i = 0; i < loops; ++i) {
     loops_.push_back(std::make_unique<IoLoop>(*this));
   }
-  if (config_.worker_threads > 0) {
-    workers_ = std::make_unique<WorkerPool>(config_.worker_threads);
-  }
+  workers_ = std::make_unique<WorkerPool>(std::max<std::size_t>(1, config_.worker_threads));
   conns_collector_ = obs::Registry::global().add_collector(
       "bgpcu_net_open_connections", "Connections not yet torn down", {},
       [this] { return static_cast<double>(connection_count()); });
@@ -1056,7 +1054,7 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (started_.exchange(true)) return;
-  if (workers_) workers_->start();
+  workers_->start();
   for (auto& loop : loops_) loop->start();
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
@@ -1113,13 +1111,7 @@ void Server::accept_loop() {
 }
 
 void Server::submit_worker(std::shared_ptr<EventConn> conn) {
-  if (workers_) {
-    workers_->submit(std::move(conn));
-  } else {
-    // worker_threads == 0: dispatch runs inline on whichever thread asked
-    // (the IO loop, normally). Cheap, but a slow query stalls that loop.
-    conn->drain_inbox();
-  }
+  workers_->submit(std::move(conn));
 }
 
 void Server::stop() {
@@ -1131,7 +1123,7 @@ void Server::stop() {
   // Workers drain before the leftover sweep: any queued finalize (which
   // releases subscriptions) runs to completion first, so the sweep's
   // release_subscriptions below is a no-op for those.
-  if (workers_) workers_->stop();
+  workers_->stop();
   for (auto& loop : loops_) {
     for (const auto& conn : loop->drain_remaining()) {
       conn->abort_connection();  // loop is dead; the flush mail just sits

@@ -2,7 +2,7 @@
 // speaks the frame protocol (docs/PROTOCOL.md) over each, translating
 // kRequest frames into api::Service queries and kSubscribe frames into
 // service subscriptions whose events stream back as kEvent frames. Every
-// connection speaks protocol v3: one hello/welcome handshake, after which
+// connection speaks protocol v4: one hello/welcome handshake, after which
 // keepalive probes, kBusy sheds and the subscribe-ack coverage byte apply
 // unconditionally — there is nothing to negotiate.
 //
@@ -80,9 +80,9 @@ struct ServerConfig {
   /// Event-loop threads (clamped to >= 1). Connections are assigned
   /// round-robin at accept time.
   std::size_t io_threads = 1;
-  /// Worker threads decoding/dispatching frames off the IO loops. 0 runs
-  /// dispatch inline on the IO thread — cheapest, but a slow service query
-  /// then stalls that loop's other connections.
+  /// Worker threads decoding/dispatching frames off the IO loops, so a slow
+  /// service query never stalls a loop's other connections (clamped to
+  /// >= 1).
   std::size_t worker_threads = 1;
 };
 
@@ -116,8 +116,7 @@ class Server {
   class WorkerPool;  // frame dispatch off the IO threads
 
   void accept_loop();
-  /// Runs `conn`'s inbox drain on the worker pool (or inline when
-  /// worker_threads == 0).
+  /// Runs `conn`'s inbox drain on the worker pool.
   void submit_worker(std::shared_ptr<EventConn> conn);
 
   api::Service& service_;

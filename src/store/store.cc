@@ -272,9 +272,10 @@ bool Store::checkpoint(api::Service& service) {
 
 void Store::checkpoint_locked(api::Service& service) {
   const auto started = Clock::now();
-  // Snapshot before exporting state, so the .snap file is the published
-  // view at this cut.
-  const auto snapshot = service.query({.kind = api::QueryKind::kSnapshot}).snapshot;
+  // The live cut, not the published answer, so the .snap matches the
+  // .state exported next whatever order the caller ingests, publishes and
+  // checkpoints in. After a publish it is the engine's cache hit.
+  const auto snapshot = service.snapshot();
   auto engine_state = service.checkpoint_state();
   const auto epoch = engine_state.epoch;
   if (manifest_.has_checkpoint(epoch)) return;  // nothing new this epoch

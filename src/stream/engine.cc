@@ -176,88 +176,58 @@ SnapshotPtr StreamEngine::snapshot() const {
     }
   }
 
+  // Cold path: one sweep at a time, from the collect through the install.
+  // A second caller waits here and then usually hits the cache; holding the
+  // mutex is also what keeps the shared index immutable while the unlocked
+  // sweep reads it.
+  const std::lock_guard sweep_lock(sweep_mutex_);
+
   // Collection phase, under the exclusive lock: stamp a consistent cut of
   // the live tuple set and bring the persistent index up to date with it —
   // the journaled deltas since the last cut (work proportional to the
   // churn), or one bulk build when the journals cannot reconstruct it.
   std::uint64_t version = 0;
   {
-    std::unique_lock lock(engine_mutex_);
+    const std::unique_lock lock(engine_mutex_);
+    obs::StageTimer stamp_span(m.snapshot_stage_stamp_ns);
     std::size_t live = 0;
-    for (;;) {
-      obs::StageTimer stamp_span(m.snapshot_stage_stamp_ns);
-      version = 0;
-      live = 0;
-      for (const auto& shard : shards_) {
-        version += shard->version();
-        live += shard->size();
-      }
-      stamp_span.stop();  // the cv wait below must not count as stamp time
-      if (cached_ && cached_version_ == version) {
-        m.snapshot_cache_hits.add(1);
-        return cached_;
-      }
-      // Single-flight: while any sweep is in flight, wait for its install
-      // instead of starting a duplicate — most waiters then hit the cache
-      // on re-check. The re-read stamp keeps the eventual cut valid for
-      // this call: it names state observed after the call began. Sweeps
-      // were fully serialized by the old exclusive-lock protocol too; the
-      // difference is that ingest/live queries no longer wait with them.
-      // Single-flight is also what lets an unlocked sweep read the shared
-      // incremental index: nothing mutates it until this sweep installs.
-      if (!sweep_inflight_) break;
-      snapshot_cv_.wait(lock);
+    for (const auto& shard : shards_) {
+      version += shard->version();
+      live += shard->size();
     }
-    sweep_inflight_ = true;
-    // From here on every exit path must clear the flag and notify, or
-    // every future snapshot() would wait forever on the cv.
+    stamp_span.stop();
+    if (cached_ && cached_version_ == version) {
+      m.snapshot_cache_hits.add(1);
+      return cached_;
+    }
     const auto locked_at = Clock::now();
-    try {
-      apply_pending_deltas_locked(live);
-    } catch (...) {
-      sweep_inflight_ = false;  // lock still held here
-      snapshot_cv_.notify_all();
-      throw;
-    }
+    apply_pending_deltas_locked(live);
     const auto locked_ns = elapsed_ns(locked_at);
     m.snapshot_locked_ns.observe(locked_ns);
     m.snapshot_locked_last_ns.set(static_cast<std::int64_t>(locked_ns));
     m.snapshot_sweeps.add(1);
   }
 
-  // Sweep phase, no lock held: ingest, live queries, and other snapshots
-  // all proceed concurrently.
-  SnapshotPtr result;
-  try {
-    if (after_collect_hook_) after_collect_hook_();
-    obs::StageTimer sweep_span(m.snapshot_stage_sweep_ns);
-    result = std::make_shared<const core::InferenceResult>(
-        core::sweep_columns(index_.dataset(), config_.engine));
-  } catch (...) {
-    const std::unique_lock lock(engine_mutex_);
-    sweep_inflight_ = false;
-    snapshot_cv_.notify_all();
-    throw;
-  }
+  // Sweep phase, no engine lock held: ingest and live queries proceed
+  // concurrently.
+  if (after_collect_hook_) after_collect_hook_();
+  obs::StageTimer sweep_span(m.snapshot_stage_sweep_ns);
+  auto result = std::make_shared<const core::InferenceResult>(
+      core::sweep_columns(index_.dataset(), config_.engine));
+  sweep_span.stop();
 
-  // Install phase: shard versions are monotone, so a larger stamp means a
-  // newer cut — never replace the cache with an older concurrent sweep.
-  {
-    obs::StageTimer install_span(m.snapshot_stage_install_ns);
-    const std::unique_lock lock(engine_mutex_);
-    sweep_inflight_ = false;
-    if (!cached_ || cached_version_ <= version) {
-      cached_ = result;
-      cached_version_ = version;
-    }
-  }
-  snapshot_cv_.notify_all();
+  // Install phase: the sweep mutex orders the installs, so this cut is
+  // newer than the cached one.
+  obs::StageTimer install_span(m.snapshot_stage_install_ns);
+  const std::unique_lock lock(engine_mutex_);
+  cached_ = result;
+  cached_version_ = version;
   return result;
 }
 
 EngineState StreamEngine::checkpoint_state() const {
   // Exclusive: ingest holds the shared lock, so this is a cut across shards.
-  // No sweep wait: nothing here touches the index an unlocked sweep reads.
+  // No sweep mutex: nothing here touches the index an unlocked sweep reads.
   const std::unique_lock lock(engine_mutex_);
   EngineState out;
   out.epoch = epoch_.load(std::memory_order_relaxed);
@@ -271,10 +241,10 @@ EngineState StreamEngine::checkpoint_state() const {
 }
 
 void StreamEngine::restore_state(EngineState state) {
-  std::unique_lock lock(engine_mutex_);
-  // Wait out any in-flight sweep: the reset below mutates the shared index,
-  // which must stay immutable while an unlocked sweep reads it.
-  while (sweep_inflight_) snapshot_cv_.wait(lock);
+  // The sweep mutex waits out any in-flight sweep: the reset below mutates
+  // the shared index, which must stay immutable while a sweep reads it.
+  const std::lock_guard sweep_lock(sweep_mutex_);
+  const std::unique_lock lock(engine_mutex_);
 
   epoch_.store(state.epoch, std::memory_order_relaxed);
   evicted_total_.store(state.evicted_total, std::memory_order_relaxed);

@@ -24,13 +24,13 @@
 // of magnitude longer than collecting its input, so snapshot() holds the
 // exclusive engine lock only while bringing a core::IndexedDataset up to
 // date with the live tuple set (a consistent cut, stamped with the
-// shard-version sum), releases the lock, and sweeps with no lock held —
-// ingest and live queries proceed concurrently with the sweep. On completion
-// the result is installed into the cache only if its stamp is not older than
-// the cached one (concurrent snapshots race benignly; the newest consistent
-// result wins). Results are handed out as shared_ptr<const InferenceResult>,
-// so cache hits share one immutable object instead of deep-copying the
-// counter map per call.
+// shard-version sum), releases the lock, and sweeps with no engine lock
+// held — ingest and live queries proceed concurrently with the sweep. One
+// sweep mutex, held from the collect through the install, serializes cold
+// snapshots: a second caller waits for the first to install and then
+// usually hits the cache. Results are handed out as
+// shared_ptr<const InferenceResult>, so cache hits share one immutable
+// object instead of deep-copying the counter map per call.
 //
 // Incremental indexing: the engine owns a core::IncrementalIndex that
 // persists between snapshots; shards journal every accept/evict as an
@@ -40,17 +40,20 @@
 // that are compacted lazily. The one cold path is a bulk build from the
 // shards' rows, oldest first, shard by shard: it runs after a journal
 // overflow (snapshot-starved engine), after an apply failure, and at the
-// first snapshot after restore_state(). Sweeps are single-flight, which is
-// also what keeps the shared index immutable while an unlocked sweep reads
-// it.
+// first snapshot after restore_state(). The sweep mutex is also what keeps
+// the shared index immutable while an unlocked sweep reads it.
+//
+// In the serving daemon only api::Service::publish()/rebaseline() and the
+// store's checkpoint call snapshot(), all from one thread; queries read the
+// published snapshot and never sweep.
 #ifndef BGPCU_STREAM_ENGINE_H
 #define BGPCU_STREAM_ENGINE_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <vector>
 
@@ -99,9 +102,11 @@ struct EngineState {
 ///
 /// Thread model: `ingest` and `live_counters` may run concurrently from any
 /// number of threads (shared engine lock + per-shard mutexes);
-/// `advance_epoch` takes the exclusive engine lock; `snapshot` takes it only
-/// briefly to collect an owned input cut, then sweeps with no lock held —
-/// ingest and live queries are never blocked for the duration of a sweep.
+/// `advance_epoch` takes the exclusive engine lock; a cold `snapshot` holds
+/// the sweep mutex throughout and the exclusive engine lock only briefly to
+/// collect its cut, then sweeps with no engine lock held — ingest and live
+/// queries are never blocked for the duration of a sweep. Lock order: the
+/// sweep mutex, then the engine lock.
 class StreamEngine {
  public:
   explicit StreamEngine(StreamConfig config = {});
@@ -173,22 +178,21 @@ class StreamEngine {
 
   StreamConfig config_;
   std::vector<std::unique_ptr<TupleShard>> shards_;
+  /// Held by a cold snapshot from its collect through its install, and by
+  /// restore_state: one sweep at a time. Ingest, live_counters and
+  /// checkpoint_state never take it. Taken before engine_mutex_.
+  mutable std::mutex sweep_mutex_;
   /// Shared: ingest/live queries. Exclusive: epoch advance + snapshot's
-  /// collection phase (the sweep itself runs with no lock held).
+  /// collection and install (the sweep itself runs with no engine lock held).
   mutable std::shared_mutex engine_mutex_;
   std::atomic<Epoch> epoch_{0};
   std::atomic<std::uint64_t> evicted_total_{0};
   /// Snapshot cache, stamped with the shard-version sum at its collection
-  /// cut. Guarded by engine_mutex_ (exclusive), as are the single-flight
-  /// fields: sweeps run one at a time — concurrent cold snapshots wait on
-  /// the cv and usually resolve from the cache when the in-flight sweep
-  /// installs, instead of each burning a duplicate sweep.
+  /// cut. Written under engine_mutex_ (exclusive).
   mutable SnapshotPtr cached_;
   mutable std::uint64_t cached_version_ = 0;
-  mutable std::condition_variable_any snapshot_cv_;
-  mutable bool sweep_inflight_ = false;
   /// The persistent sweep index. Mutated only inside the exclusive collect
-  /// phase while sweep_inflight_ is held, which is what makes the unlocked
+  /// phase while sweep_mutex_ is held, which is what makes the unlocked
   /// sweep's read of it race-free.
   mutable core::IncrementalIndex index_;
   /// Cleared when an apply failed mid-flight (index state unknown) or a

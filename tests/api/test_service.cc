@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "obs/wellknown.h"
 #include "stream/delta.h"
 
@@ -75,14 +82,14 @@ TEST(ServiceQuery, StatsSnapshotFieldsAreARegistryView) {
   const auto accepted = service.ingest(batch).accepted;
   ASSERT_EQ(accepted, batch.size());
 
-  (void)service.query({.kind = QueryKind::kSnapshot});  // cold: sweep 1
+  (void)service.snapshot();  // cold: sweep 1
   const auto first = expect_registry_view(service);
-  for (const auto kind : {QueryKind::kClassOf, QueryKind::kSnapshot, QueryKind::kClassOf}) {
-    (void)service.query({.kind = kind, .asn = 10});  // unchanged engine: cache hit
+  for (int i = 0; i < 3; ++i) {
+    (void)service.snapshot();  // unchanged engine: cache hit
     (void)expect_registry_view(service);
   }
   (void)service.advance_epoch();  // window 1: evicts every tuple
-  (void)service.query({.kind = QueryKind::kSnapshot});  // cold: sweep 2
+  (void)service.snapshot();  // cold: sweep 2
   const auto after = expect_registry_view(service);
 
   EXPECT_EQ(after.snapshot_sweeps - before.snapshot_sweeps, 2u);
@@ -99,12 +106,15 @@ TEST(ServiceQuery, StatsSnapshotFieldsAreARegistryView) {
 TEST(ServiceQuery, ClassOfMatchesSnapshot) {
   Service service;
   (void)service.ingest({tuple(10, 20, true), tuple(11, 20, false)});
+  (void)service.publish();
 
   const auto snapshot = service.query({.kind = QueryKind::kSnapshot});
   ASSERT_TRUE(snapshot.snapshot != nullptr);
+  ASSERT_FALSE(snapshot.snapshot->counter_map().empty());
   const auto one = service.query({.kind = QueryKind::kClassOf, .asn = 10});
   ASSERT_TRUE(one.asn_class.has_value());
   EXPECT_EQ(one.asn_class->asn, 10u);
+  EXPECT_EQ(one.asn_class->usage.code(), "tn");
   EXPECT_EQ(one.asn_class->usage, snapshot.snapshot->usage(10));
   EXPECT_EQ(one.asn_class->counters, snapshot.snapshot->counters(10));
 
@@ -112,6 +122,115 @@ TEST(ServiceQuery, ClassOfMatchesSnapshot) {
   const auto unseen = service.query({.kind = QueryKind::kClassOf, .asn = 999});
   EXPECT_EQ(unseen.asn_class->usage.code(), "nn");
   EXPECT_EQ(unseen.asn_class->counters, core::UsageCounters{});
+}
+
+/// The sweep and cache-hit counters, read together.
+std::pair<std::uint64_t, std::uint64_t> sweep_counts() {
+  const auto& m = obs::metrics();
+  return {m.snapshot_sweeps.value(), m.snapshot_cache_hits.value()};
+}
+
+TEST(ServiceQuery, PublishedQueriesNeverSweep) {
+  Service service;
+  (void)service.ingest({tuple(10, 20, true), tuple(11, 20, false)});
+  (void)service.publish();
+  // A further ingest leaves the engine ahead of the published answer; a
+  // query that read the live cut would sweep it or wait on a sweep.
+  (void)service.ingest({tuple(12, 20, true)});
+
+  const auto before = sweep_counts();
+  for (int round = 0; round < 3; ++round) {
+    for (const auto kind : {QueryKind::kClassOf, QueryKind::kSnapshot, QueryKind::kHistory}) {
+      (void)service.query({.kind = kind, .asn = 10});
+    }
+  }
+  EXPECT_EQ(sweep_counts(), before) << "a query swept or read the engine's cache";
+}
+
+/// kClassOf, kSnapshot and kHistory for AS 10 agree on `epoch` and on AS
+/// 10's class `code`; returns the kSnapshot handle.
+stream::SnapshotPtr expect_published(const Service& service, stream::Epoch epoch,
+                                     const std::string& code) {
+  const auto all = service.query({.kind = QueryKind::kSnapshot});
+  const auto one = service.query({.kind = QueryKind::kClassOf, .asn = 10});
+  const auto history = service.query({.kind = QueryKind::kHistory, .asn = 10});
+  EXPECT_EQ(all.epoch, epoch);
+  EXPECT_EQ(one.epoch, epoch);
+  EXPECT_EQ(history.epoch, epoch);
+  EXPECT_EQ(one.asn_class->usage.code(), code);
+  EXPECT_EQ(all.snapshot->usage(10).code(), code);
+  const HistoryPoint closing{epoch, one.asn_class->usage};
+  EXPECT_EQ(history.history->back(), closing) << "kHistory closes at the published class";
+  return all.snapshot;
+}
+
+TEST(ServiceQuery, AnswersMoveOnlyWithPublish) {
+  Service service({.stream = {.window_epochs = 1}});
+  (void)service.ingest({tuple(10, 20, true)});  // AS 10: tn
+  // Before any publish: the empty snapshot at epoch 0.
+  EXPECT_TRUE(expect_published(service, 0, "nn")->counter_map().empty());
+
+  EXPECT_EQ(service.publish().epoch, 0u);
+  const auto published = expect_published(service, 0, "tn");
+  EXPECT_EQ(published, service.snapshot()) << "the published handle is the sweep's result";
+
+  // Epoch 1 turns AS 10 silent, but nothing is published yet: the answers
+  // and their epoch stay at the publish of epoch 0.
+  (void)service.advance_epoch();
+  (void)service.ingest({tuple(10, 20, false)});
+  EXPECT_EQ(expect_published(service, 0, "tn"), published);
+  EXPECT_EQ(service.snapshot()->usage(10).code(), "sn") << "the live cut moved ahead";
+
+  // The next publish moves both together.
+  EXPECT_EQ(service.publish().epoch, 1u);
+  EXPECT_NE(expect_published(service, 1, "sn"), published);
+}
+
+TEST(ServiceQuery, QueriesDoNotWaitForAPublishInFlight) {
+  // publish() holds the facade mutex across its sweep. Park that sweep in
+  // the after-collect hook: the published kinds must still answer, from the
+  // previous publish, and so must the real-time evidence. A query that
+  // waited for the sweep would hang here.
+  Service service({.stream = {.window_epochs = 1}});
+  service.set_history_provider([](bgp::Asn) { return std::vector<HistoryPoint>{}; });
+  (void)service.ingest({tuple(10, 20, true)});
+  (void)service.publish();
+  (void)service.advance_epoch();
+  (void)service.ingest({tuple(10, 20, false)});
+
+  std::mutex m;
+  std::condition_variable cv;
+  bool collected = false;
+  bool release = false;
+  service.set_after_collect_hook([&] {
+    std::unique_lock lock(m);
+    collected = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  std::thread publisher([&] { (void)service.publish(); });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return collected; });
+  }
+  for (const auto kind : {QueryKind::kClassOf, QueryKind::kSnapshot, QueryKind::kHistory}) {
+    EXPECT_EQ(service.query({.kind = kind, .asn = 10}).epoch, 0u);
+  }
+  EXPECT_EQ(service.query({.kind = QueryKind::kClassOf, .asn = 10}).asn_class->usage.code(),
+            "tn");
+  EXPECT_EQ(service.query({.kind = QueryKind::kLiveCounters, .asn = 10}).asn_class->counters.s,
+            1u);
+  {
+    const std::lock_guard lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  publisher.join();
+  service.set_after_collect_hook({});
+
+  const auto after = service.query({.kind = QueryKind::kClassOf, .asn = 10});
+  EXPECT_EQ(after.epoch, 1u);
+  EXPECT_EQ(after.asn_class->usage.code(), "sn");
 }
 
 TEST(ServiceQuery, LiveCountersSeePeerColumnEvidenceWithoutSweep) {

@@ -74,13 +74,17 @@ TEST_P(ServiceProperty, FeedEqualsDiffOfSuccessiveSnapshotsAndWireRoundTrips) {
     if (e > 0) (void)service.advance_epoch();
     (void)service.ingest(random_dataset(rng, 30 + rng.below(50)));
 
-    // Independent oracle: successive snapshots through the query API,
-    // diffed with the stream primitive directly.
-    const auto snapshot = *service.query({.kind = QueryKind::kSnapshot}).snapshot;
+    // Independent oracle: successive live cuts, diffed with the stream
+    // primitive directly.
+    const auto snapshot = *service.snapshot();
     auto changes = stream::diff_classifications(previous, snapshot);
     const auto published = service.publish();
     ASSERT_EQ(published.epoch, service.epoch());
     ASSERT_EQ(published.changes, changes) << "seed " << seed << " epoch " << e;
+    // Queried == published: the query API now answers this cut at this epoch.
+    const auto answer = service.query({.kind = QueryKind::kSnapshot});
+    ASSERT_EQ(answer.epoch, published.epoch) << "seed " << seed;
+    ASSERT_EQ(answer.snapshot->counter_map(), snapshot.counter_map()) << "seed " << seed;
     if (!changes.empty()) {
       oracle.push_back({published.epoch, changes});
       EpochDelta want{published.epoch, {}};

@@ -131,15 +131,25 @@ TEST(WireRoundTrip, EmptySnapshotAndDelta) {
   EXPECT_EQ(decode_delta_batch(encode_delta_batch(none)), none);
 }
 
+/// One response through a tagged kResponse frame and back.
+QueryResponse round_trip(const QueryResponse& response) {
+  const auto decoded = decode_response(encode_response({1, response}));
+  EXPECT_EQ(decoded.request_id, 1u);
+  return decoded.response;
+}
+
 TEST(WireRoundTrip, QueryRequests) {
   for (const auto kind : {QueryKind::kClassOf, QueryKind::kSnapshot,
                           QueryKind::kLiveCounters, QueryKind::kStats,
-                          QueryKind::kMetrics}) {
+                          QueryKind::kMetrics, QueryKind::kHistory}) {
     QueryRequest request{kind, 4200000001u};
-    const auto decoded = decode_query_request(encode_query_request(request));
+    const auto decoded = decode_request(encode_request({5, request})).request;
     EXPECT_EQ(decoded.kind, kind);
-    if (kind == QueryKind::kClassOf || kind == QueryKind::kLiveCounters) {
+    if (kind == QueryKind::kClassOf || kind == QueryKind::kLiveCounters ||
+        kind == QueryKind::kHistory) {
       EXPECT_EQ(decoded.asn, 4200000001u);
+    } else {
+      EXPECT_EQ(decoded.asn, 0u) << "only per-AS kinds carry an ASN";
     }
   }
 }
@@ -147,9 +157,20 @@ TEST(WireRoundTrip, QueryRequests) {
 TEST(WireRoundTrip, QueryResponses) {
   QueryResponse per_asn;
   per_asn.kind = QueryKind::kClassOf;
+  per_asn.epoch = 300;  // > 127, so the epoch varint takes two bytes
   per_asn.asn_class = AsnClass{3356, class_of(1, 1), {1042, 3, 977, 0}};
-  auto decoded = decode_query_response(encode_query_response(per_asn));
+  auto decoded = round_trip(per_asn);
   EXPECT_EQ(decoded.asn_class, per_asn.asn_class);
+  EXPECT_EQ(decoded.epoch, 300u);
+
+  // kLiveCounters is real-time: its response has no epoch field.
+  QueryResponse live = per_asn;
+  live.kind = QueryKind::kLiveCounters;
+  const auto live_bytes = encode_response({1, live});
+  EXPECT_EQ(live_bytes.size() + 2, encode_response({1, per_asn}).size());
+  decoded = round_trip(live);
+  EXPECT_EQ(decoded.asn_class, live.asn_class);
+  EXPECT_EQ(decoded.epoch, 0u);
 
   QueryResponse stats;
   stats.kind = QueryKind::kStats;
@@ -157,16 +178,26 @@ TEST(WireRoundTrip, QueryResponses) {
   // round-trip clean (the snapshot-path fields rode in after PR 4).
   stats.stats = ServiceStats{12,  168000, 42,  8,      3,       2,      57,
                              900, 12345,  6,   1,      271828,  3141592};
-  decoded = decode_query_response(encode_query_response(stats));
+  decoded = round_trip(stats);
   EXPECT_EQ(decoded.stats, stats.stats);
 
   topology::Rng rng(99);
   QueryResponse snap;
   snap.kind = QueryKind::kSnapshot;
+  snap.epoch = 9;
   snap.snapshot = std::make_shared<const core::InferenceResult>(random_result(rng));
-  decoded = decode_query_response(encode_query_response(snap));
+  decoded = round_trip(snap);
   ASSERT_TRUE(decoded.snapshot != nullptr);
   EXPECT_EQ(decoded.snapshot->counter_map(), snap.snapshot->counter_map());
+  EXPECT_EQ(decoded.epoch, 9u);
+
+  QueryResponse history;
+  history.kind = QueryKind::kHistory;
+  history.epoch = 12;
+  history.history = std::vector<HistoryPoint>{{3, class_of(1, 1)}, {12, class_of(0, 0)}};
+  decoded = round_trip(history);
+  EXPECT_EQ(decoded.history, history.history);
+  EXPECT_EQ(decoded.epoch, 12u);
 }
 
 TEST(WireRoundTrip, FrameReaderSplitsConcatenatedFrames) {
@@ -244,25 +275,31 @@ obs::Snapshot golden_metrics() {
   return snapshot;
 }
 
+/// The pinned scrape as the kResponse frame answering request id 1.
 std::vector<std::uint8_t> encode_golden_metrics_response() {
   QueryResponse response;
   response.kind = QueryKind::kMetrics;
   response.metrics = golden_metrics();
-  return encode_query_response(response);
+  return encode_response({1, response});
+}
+
+void decode_response_frame(std::span<const std::uint8_t> frame) {
+  (void)decode_response(frame);
 }
 
 TEST(WireRoundTrip, MetricsResponseSurvives) {
-  const auto decoded = decode_query_response(encode_golden_metrics_response());
-  EXPECT_EQ(decoded.kind, QueryKind::kMetrics);
-  ASSERT_TRUE(decoded.metrics.has_value());
-  EXPECT_EQ(*decoded.metrics, golden_metrics());
+  const auto decoded = decode_response(encode_golden_metrics_response());
+  EXPECT_EQ(decoded.request_id, 1u);
+  EXPECT_EQ(decoded.response.kind, QueryKind::kMetrics);
+  ASSERT_TRUE(decoded.response.metrics.has_value());
+  EXPECT_EQ(*decoded.response.metrics, golden_metrics());
 }
 
 TEST(WireRoundTrip, EmptyMetricsResponseSurvives) {
   QueryResponse response;
   response.kind = QueryKind::kMetrics;
   response.metrics = obs::Snapshot{};
-  const auto decoded = decode_query_response(encode_query_response(response));
+  const auto decoded = round_trip(response);
   ASSERT_TRUE(decoded.metrics.has_value());
   EXPECT_TRUE(decoded.metrics->empty());
 }
@@ -296,14 +333,15 @@ TEST(WireGolden, DeltaFixtureIsStable) {
 }
 
 TEST(WireGolden, MetricsFixtureIsStable) {
-  const auto path = data_dir() / "golden_metrics_v1.wire";
+  const auto path = data_dir() / "golden_metrics_response_v1.wire";
   const auto expected = encode_golden_metrics_response();
   if (std::getenv("BGPCU_REGEN_GOLDEN")) write_bytes(path, expected);
   const auto fixture = read_bytes(path);
-  EXPECT_EQ(fixture, expected) << "v1 metrics encoding drifted from the checked-in bytes";
-  const auto decoded = decode_query_response(fixture);
-  ASSERT_TRUE(decoded.metrics.has_value());
-  EXPECT_EQ(*decoded.metrics, golden_metrics());
+  EXPECT_EQ(fixture, expected) << "metrics response encoding drifted from the checked-in bytes";
+  const auto decoded = decode_response(fixture);
+  EXPECT_EQ(decoded.request_id, 1u);
+  ASSERT_TRUE(decoded.response.metrics.has_value());
+  EXPECT_EQ(*decoded.response.metrics, golden_metrics());
 }
 
 // ------------------------------------------------------------- corruption --
@@ -325,7 +363,7 @@ TEST(WireCorruption, EveryTruncationThrows) {
   for (std::size_t len = 0; len < metrics_frame.size(); ++len) {
     const std::vector<std::uint8_t> cut(
         metrics_frame.begin(), metrics_frame.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW((void)decode_query_response(cut), WireFormatError) << "prefix " << len;
+    EXPECT_THROW(decode_response_frame(cut), WireFormatError) << "prefix " << len;
   }
 }
 
@@ -390,7 +428,7 @@ TEST(WireCorruption, ByteFlipsNeverCrash) {
       auto mutated = metrics_frame;
       mutated[pos] ^= flip;
       try {
-        (void)decode_query_response(mutated);
+        decode_response_frame(mutated);
       } catch (const WireFormatError&) {
       }
     }
@@ -584,8 +622,9 @@ TEST(WireProtocolFrames, ReliabilityHandshakeFramesRoundTrip) {
   EXPECT_EQ(peek_hello_protocol(v2_hello), 2u);
   EXPECT_THROW((void)decode_hello(v2_hello), WireFormatError);
 
-  // The retired pre-v3 hello/welcome types (5, 6) do not frame at all.
-  for (const std::uint8_t retired : {5, 6}) {
+  // The retired frame types do not frame at all: the pre-v4 query
+  // request/response (3, 4) and the pre-v3 hello/welcome (5, 6).
+  for (const std::uint8_t retired : {3, 4, 5, 6}) {
     auto frame = encode_hello({kProtocolVersion, ""});
     frame[5] = retired;
     EXPECT_THROW((void)peek_frame_type(frame), WireFormatError) << int{retired};
@@ -654,15 +693,19 @@ std::vector<Corpus> build_corpus(topology::Rng& rng) {
                     +[](std::span<const std::uint8_t> b) { (void)decode_snapshot(b); }});
   corpus.push_back({"delta", encode_delta_batch(random_delta(rng)),
                     +[](std::span<const std::uint8_t> b) { (void)decode_delta_batch(b); }});
-  corpus.push_back({"query-request", encode_query_request({QueryKind::kClassOf, 65550}),
-                    +[](std::span<const std::uint8_t> b) { (void)decode_query_request(b); }});
+  corpus.push_back({"request-class-of", encode_request({1, {QueryKind::kClassOf, 65550}}),
+                    +[](std::span<const std::uint8_t> b) { (void)decode_request(b); }});
   QueryResponse stats_response;
   stats_response.kind = QueryKind::kStats;
   stats_response.stats = ServiceStats{3, 1000, 5, 8, 2, 1};
-  corpus.push_back({"query-response", encode_query_response(stats_response),
-                    +[](std::span<const std::uint8_t> b) { (void)decode_query_response(b); }});
-  corpus.push_back({"query-response-metrics", encode_golden_metrics_response(),
-                    +[](std::span<const std::uint8_t> b) { (void)decode_query_response(b); }});
+  corpus.push_back({"response-stats", encode_response({1, stats_response}), &decode_response_frame});
+  corpus.push_back({"response-metrics", encode_golden_metrics_response(), &decode_response_frame});
+  QueryResponse class_response;
+  class_response.kind = QueryKind::kClassOf;
+  class_response.epoch = 4242;
+  class_response.asn_class = AsnClass{65550, class_of(2, 1), {0, 7, 3, 0}};
+  corpus.push_back({"response-class-of", encode_response({2, class_response}),
+                    &decode_response_frame});
   corpus.push_back({"hello", encode_hello({kProtocolVersion, "fuzz-token"}),
                     +[](std::span<const std::uint8_t> b) { (void)decode_hello(b); }});
   corpus.push_back({"welcome", encode_welcome({kProtocolVersion, 99, 42}),

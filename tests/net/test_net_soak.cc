@@ -44,8 +44,8 @@ TEST(NetSoak, ConcurrentClientsSeeConsistentResponsesUnderChurn) {
   api::Service service({.stream = {.shards = 4, .window_epochs = 2}});
   const auto thresholds = service.config().stream.engine.thresholds;
 
-  // Hold every sweep open briefly: snapshot queries from other threads now
-  // reliably overlap in-flight sweeps instead of racing past them.
+  // Hold every publish's sweep open briefly: queries from other threads now
+  // reliably overlap in-flight sweeps, which they must not wait for.
   std::atomic<std::uint64_t> sweeps_started{0};
   service.set_after_collect_hook([&] {
     sweeps_started.fetch_add(1);
@@ -117,6 +117,16 @@ TEST(NetSoak, ConcurrentClientsSeeConsistentResponsesUnderChurn) {
         Client client(listener->connect());
         topology::Rng rng(100 + static_cast<std::uint64_t>(c));
         stream::Epoch last_epoch = 0;
+        stream::Epoch last_published = 0;
+        // The published epoch an answer carries must never run backwards
+        // on one connection either.
+        const auto check_published = [&](stream::Epoch epoch) {
+          if (epoch < last_published) {
+            ADD_FAILURE() << "published epoch regressed on client " << c;
+            failures.fetch_add(1);
+          }
+          last_published = epoch;
+        };
         for (int i = 0; i < kQueriesPerClient; ++i) {
           // Stats: the service epoch a single connection observes must
           // never run backwards (responses are answered in order).
@@ -138,6 +148,7 @@ TEST(NetSoak, ConcurrentClientsSeeConsistentResponsesUnderChurn) {
               failures.fetch_add(1);
               break;
             }
+            check_published(snapshot.epoch);
             const auto usage = snapshot.snapshot->usage(asn);
             if (usage != core::classify(snapshot.snapshot->counters(asn),
                                         snapshot.snapshot->thresholds())) {
@@ -146,6 +157,7 @@ TEST(NetSoak, ConcurrentClientsSeeConsistentResponsesUnderChurn) {
             }
           } else {
             const auto answer = client.query({.kind = api::QueryKind::kClassOf, .asn = asn});
+            check_published(answer.epoch);
             if (!answer.asn_class ||
                 answer.asn_class->usage != core::classify(answer.asn_class->counters,
                                                           thresholds)) {

@@ -207,11 +207,14 @@ TEST(NetProtocol, FirstFrameMustBeHello) {
 TEST(NetProtocol, EveryQueryKindMatchesDirectServiceAnswers) {
   Harness harness;
   (void)harness.service.ingest({tuple(10, 20, true), tuple(11, 20, false)});
+  (void)harness.service.publish();
   auto client = harness.client();
 
   const auto class_of = client.query({.kind = api::QueryKind::kClassOf, .asn = 10});
   const auto direct = harness.service.query({.kind = api::QueryKind::kClassOf, .asn = 10});
   EXPECT_EQ(class_of.asn_class, direct.asn_class);
+  ASSERT_TRUE(class_of.asn_class.has_value());
+  EXPECT_EQ(class_of.asn_class->usage.code(), "tn");
 
   const auto live = client.query({.kind = api::QueryKind::kLiveCounters, .asn = 11});
   EXPECT_EQ(live.asn_class,
@@ -219,12 +222,44 @@ TEST(NetProtocol, EveryQueryKindMatchesDirectServiceAnswers) {
 
   const auto snapshot = client.query({.kind = api::QueryKind::kSnapshot});
   ASSERT_TRUE(snapshot.snapshot != nullptr);
+  EXPECT_FALSE(snapshot.snapshot->counter_map().empty());
   EXPECT_EQ(snapshot.snapshot->counter_map(),
             harness.service.query({.kind = api::QueryKind::kSnapshot}).snapshot->counter_map());
 
   const auto stats = client.query({.kind = api::QueryKind::kStats});
   ASSERT_TRUE(stats.stats.has_value());
   EXPECT_EQ(stats.stats->live_tuples, 2u);
+}
+
+TEST(NetProtocol, PublishedQueriesCarryThePublishEpoch) {
+  // kClassOf, kSnapshot and kHistory answer at the published epoch and say
+  // which; an ingest that is not yet published moves neither.
+  Harness harness;
+  harness.flip_epochs();  // AS 10: tagger at epoch 0, silent at epoch 1
+  auto client = harness.client();
+  const auto expect_at = [&](stream::Epoch epoch, const std::string& code) {
+    const auto class_of = client.query({.kind = api::QueryKind::kClassOf, .asn = 10});
+    const auto snapshot = client.query({.kind = api::QueryKind::kSnapshot});
+    const auto history = client.query({.kind = api::QueryKind::kHistory, .asn = 10});
+    EXPECT_EQ(class_of.epoch, epoch);
+    EXPECT_EQ(snapshot.epoch, epoch);
+    EXPECT_EQ(history.epoch, epoch);
+    EXPECT_EQ(class_of.asn_class->usage.code(), code);
+    EXPECT_EQ(snapshot.snapshot->usage(10).code(), code);
+    EXPECT_EQ(history.history->back().epoch, epoch);
+    EXPECT_EQ(history.history->back().usage.code(), code);
+    // Real-time kinds carry no epoch field.
+    EXPECT_EQ(client.query({.kind = api::QueryKind::kLiveCounters, .asn = 10}).epoch, 0u);
+  };
+  expect_at(1, "sn");
+
+  (void)harness.service.advance_epoch();  // window 1: AS 10's tuple ages out
+  (void)harness.service.ingest({tuple(10, 20, true)});
+  expect_at(1, "sn");
+
+  const auto published = harness.service.publish();
+  ASSERT_EQ(published.epoch, 2u);
+  expect_at(published.epoch, "tn");
 }
 
 TEST(NetProtocol, MetricsQueryReturnsTheFullRegistryScrape) {
@@ -275,7 +310,7 @@ TEST(NetProtocol, MetricsKindIsAdditiveForV2Clients) {
 TEST(NetProtocol, HistoryQueryRoundTripsRetainedPlusLivePoints) {
   // kHistory over the wire: the installed provider's retained points arrive
   // exactly as the Service's direct answer — sanitized, epoch-ascending, and
-  // closed by the live class.
+  // closed by the published class.
   Harness harness;
   harness.flip_epochs();  // AS 10: tagger at epoch 0, silent at epoch 1
   harness.service.set_history_provider([](bgp::Asn asn) {
@@ -297,7 +332,8 @@ TEST(NetProtocol, HistoryQueryRoundTripsRetainedPlusLivePoints) {
   EXPECT_EQ(over_wire.history->front().usage.code(), "tn");
   EXPECT_EQ(over_wire.history->back().usage.code(), "sn");
 
-  // Without a provider the series still closes at the live class: one point.
+  // Without a provider the series still closes at the published class: one
+  // point.
   harness.service.set_history_provider({});
   const auto bare = client.query({.kind = api::QueryKind::kHistory, .asn = 10});
   ASSERT_TRUE(bare.history.has_value());

@@ -80,17 +80,35 @@ struct Harness {
     return ResilientClient([this] { return listener->connect(); }, std::move(config));
   }
 
+  /// Opens the next epoch and ingests its AS, without publishing it.
+  void ingest_next() {
+    if (staged > 0) (void)service.advance_epoch();
+    (void)service.ingest({tuple(100 + static_cast<bgp::Asn>(staged), 20, true)});
+    ++staged;
+  }
+
   api::EpochDelta publish_next() {
-    if (published > 0) (void)service.advance_epoch();
-    (void)service.ingest({tuple(100 + static_cast<bgp::Asn>(published), 20, true)});
-    ++published;
+    ingest_next();
     return service.publish();
+  }
+
+  /// The published answer as a subscriber's view folds it: ASes classified
+  /// none/none are absent.
+  [[nodiscard]] std::map<bgp::Asn, core::UsageClass> published_view() const {
+    std::map<bgp::Asn, core::UsageClass> view;
+    const auto snapshot = service.query({.kind = api::QueryKind::kSnapshot}).snapshot;
+    for (const auto& [asn, counters] : snapshot->counter_map()) {
+      if (const auto usage = snapshot->usage(asn); !(usage == core::UsageClass{})) {
+        view[asn] = usage;
+      }
+    }
+    return view;
   }
 
   api::Service service;
   std::shared_ptr<LoopbackListener> listener;
   Server server;
-  stream::Epoch published = 0;
+  stream::Epoch staged = 0;
 };
 
 // ----------------------------------------------------------- backoff --
@@ -335,18 +353,25 @@ TEST(ResilientClient, HorizonMissResyncsFromASnapshotWithOneGapEvent) {
 
   live->close();
   for (int i = 0; i < 3; ++i) reference.push_back(harness.publish_next());  // 2, 3, 4
+  // Before the client is back, the server ingests epoch 5 without publishing
+  // it: the welcome's engine epoch (5) runs ahead of the published one (4).
+  harness.ingest_next();
 
   auto event = client.next_event();
   ASSERT_TRUE(event.has_value());
   ASSERT_EQ(event->kind, ResilientClient::Event::Kind::kReconnected)
       << "reconnect is announced before the gap";
+  EXPECT_EQ(client.welcome().epoch, 5u);
 
   event = client.next_event();
   ASSERT_TRUE(event.has_value());
   ASSERT_EQ(event->kind, ResilientClient::Event::Kind::kGap);
   EXPECT_EQ(event->gap_from, 2u) << "the gap starts at the resume epoch";
-  EXPECT_EQ(event->gap_to, 4u);
-  EXPECT_EQ(event->delta.epoch, 4u);
+  // The gap closes at the re-sync snapshot's published epoch, not at the
+  // welcome's: closing at 5 would drop epoch 5's publish below as covered.
+  ASSERT_EQ(event->gap_to, 4u);
+  ASSERT_EQ(event->delta.epoch,
+            harness.service.query({.kind = api::QueryKind::kSnapshot}).epoch);
   EXPECT_FALSE(event->delta.changes.empty());
 
   // The synthesized catch-up lands the client on exactly the state an
@@ -358,12 +383,16 @@ TEST(ResilientClient, HorizonMissResyncsFromASnapshotWithOneGapEvent) {
   EXPECT_EQ(client.stats().gap_resyncs, 1u);
 
   // The lossy replayed tail (epochs 3-4, already covered by the snapshot)
-  // was dropped: a fresh publish is the next thing the stream yields.
-  reference.push_back(harness.publish_next());  // epoch 5
+  // was dropped: epoch 5's publish is the next thing the stream yields, and
+  // it lands the client on the server's published answer.
+  const auto fifth = harness.service.publish();
+  ASSERT_EQ(fifth.epoch, 5u);
   event = client.next_event();
   ASSERT_TRUE(event.has_value());
   ASSERT_EQ(event->kind, ResilientClient::Event::Kind::kDelta);
   EXPECT_EQ(event->delta.epoch, 5u);
+  EXPECT_EQ(client.class_state(), harness.published_view());
+  EXPECT_EQ(client.last_seen_epoch(), 5u);
 }
 
 // --------------------------------------------------------- keepalive --

@@ -39,18 +39,19 @@ TEST(NetTcp, QueriesAndSubscriptionsOverARealSocket) {
   ASSERT_TRUE(stats.stats.has_value());
   EXPECT_EQ(stats.stats->live_tuples, 2u);
 
-  const auto class_of = client.query({.kind = api::QueryKind::kClassOf, .asn = 10});
-  ASSERT_TRUE(class_of.asn_class.has_value());
-  EXPECT_EQ(class_of.asn_class->usage.code(),
-            service.query({.kind = api::QueryKind::kClassOf, .asn = 10})
-                .asn_class->usage.code());
-
   (void)client.subscribe({});
   (void)service.publish();  // first publish: everything changes from nn
   const auto event = client.next_event();
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->delta.epoch, 0u);
   EXPECT_FALSE(event->delta.changes.empty());
+
+  const auto class_of = client.query({.kind = api::QueryKind::kClassOf, .asn = 10});
+  ASSERT_TRUE(class_of.asn_class.has_value());
+  EXPECT_EQ(class_of.asn_class->usage.code(), "tn");
+  EXPECT_EQ(class_of.asn_class->usage.code(),
+            service.query({.kind = api::QueryKind::kClassOf, .asn = 10})
+                .asn_class->usage.code());
 
   const auto wrong_token = [&] {
     try {

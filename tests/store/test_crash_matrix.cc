@@ -79,8 +79,7 @@ std::vector<core::CounterMap> oracle_maps(const std::vector<core::Dataset>& batc
   for (std::size_t e = 0; e < batches.size(); ++e) {
     if (e > 0) oracle.advance_epoch();
     oracle.ingest(batches[e]);
-    maps.push_back(
-        oracle.query({.kind = api::QueryKind::kSnapshot}).snapshot->counter_map());
+    maps.push_back(oracle.snapshot()->counter_map());  // never published: the live cut
   }
   return maps;
 }

@@ -128,6 +128,41 @@ TEST(Recovery, CheckpointPlusTailReplayMatchesLiveRun) {
   EXPECT_EQ(stats->epoch, live_epoch) << "epoch continuity through kStats";
 }
 
+TEST(Recovery, CheckpointOfAnUnpublishedIngestSnapsItsOwnCut) {
+  // The checkpoint follows an ingest that was never published, so the
+  // published answer is one epoch behind the engine. The .snap must still
+  // be the cut the .state holds: recovery from the .state answers it.
+  TempDir dir("rec_unpublished");
+  core::CounterMap live_map;
+  stream::Epoch cut = 0;
+  {
+    api::Service service(testutil::test_service_config());
+    Store store({.dir = dir.str(), .checkpoint_every_epochs = 0});
+    (void)run_live(service, store, 2, 1009);
+    service.advance_epoch();
+    topology::Rng rng(1010);
+    const auto batch = testutil::random_dataset(rng, 40);
+    store.append_epoch_batch(service.epoch(), batch, testutil::marks_at(2));
+    service.ingest(batch);
+    ASSERT_TRUE(store.checkpoint(service));
+    live_map = service.snapshot()->counter_map();
+    ASSERT_NE(live_map, snapshot_map(service)) << "the ingest must be ahead of the publish";
+    cut = service.epoch();
+  }
+  const auto snap =
+      api::decode_snapshot(io::read_file(checkpoint_path(dir.str(), cut, ".snap")));
+  EXPECT_EQ(snap.counter_map(), live_map);
+
+  api::Service service(testutil::test_service_config());
+  Store store({.dir = dir.str(), .checkpoint_every_epochs = 0});
+  const auto rec = store.recover(service);
+  ASSERT_TRUE(rec.recovered);
+  ASSERT_TRUE(rec.checkpoint_epoch.has_value());
+  EXPECT_EQ(*rec.checkpoint_epoch, cut);
+  EXPECT_EQ(rec.batches_replayed, 0u);
+  EXPECT_EQ(snapshot_map(service), snap.counter_map()) << ".snap and .state disagree";
+}
+
 // Data dirs checked in under tests/data, written by the store as it was
 // before it stopped persisting the sweep index, each ending in a checkpoint
 // at its last epoch (4 shards, testutil::random_dataset batches):
@@ -272,7 +307,7 @@ TEST(Recovery, TornWalTailLosesAtMostTheLastRecord) {
       const auto batch = testutil::random_dataset(rng, 25);
       store.append_epoch_batch(service.epoch(), batch, testutil::marks_at(e));
       service.ingest(batch);
-      if (e == 2) map_before_last = snapshot_map(service);
+      if (e == 2) map_before_last = service.snapshot()->counter_map();  // never published
       // No delta records: the final batch record is the file's last record.
     }
   }

@@ -419,6 +419,10 @@ TEST_F(CliTest, ServeResilienceFlagsSmokeEndToEnd) {
   EXPECT_EQ(run(serve_bin() + " --keepalive x").exit_code, 2);
   EXPECT_EQ(run(serve_bin() + " --retry-after x").exit_code, 2);
   EXPECT_EQ(run(serve_bin() + " --max-conns 0").exit_code, 2);
+  const auto no_workers = run(serve_bin() + " --workers 0");
+  EXPECT_EQ(no_workers.exit_code, 2);
+  EXPECT_NE(no_workers.output.find("--workers must be >= 1"), std::string::npos)
+      << no_workers.output;
 
   const auto port_file = dir_ / "port";
   const auto log_file = dir_ / "serve.log";
@@ -571,23 +575,21 @@ TEST_F(CliTest, ServeDaemonAnswersQueryConnectEndToEnd) {
   ASSERT_FALSE(port.empty()) << "daemon never wrote its port; log: " << slurp(log_file);
   const auto connect = " --connect 127.0.0.1:" + port + " --token sesame";
 
-  // The first poll may still be in flight: retry until the tuples landed.
-  SplitRunResult stats;
+  // The first poll may still be in flight, and queries answer only once it
+  // is published: retry until the published class shows.
+  SplitRunResult asn;
   for (int i = 0; i < 100; ++i) {
-    stats = run_split(query_bin() + " stats" + connect);
-    if (stats.exit_code == 0 && stats.out.find("live_tuples") != std::string::npos &&
-        stats.out.find("live_tuples 0") == std::string::npos) {
-      break;
-    }
+    asn = run_split(query_bin() + " asn 3356" + connect);
+    if (asn.exit_code == 0 && asn.out.find("class tn") != std::string::npos) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
+  EXPECT_EQ(asn.exit_code, 0) << asn.err;
+  EXPECT_NE(asn.out.find("AS 3356 class tn t 1 s 0 f 0 c 0"), std::string::npos) << asn.out;
+
+  const auto stats = run_split(query_bin() + " stats" + connect);
   EXPECT_EQ(stats.exit_code, 0) << stats.err;
   EXPECT_NE(stats.out.find("epoch 0"), std::string::npos) << stats.out;
   EXPECT_EQ(stats.out.find("live_tuples 0\n"), std::string::npos) << stats.out;
-
-  const auto asn = run_split(query_bin() + " asn 3356" + connect);
-  EXPECT_EQ(asn.exit_code, 0) << asn.err;
-  EXPECT_NE(asn.out.find("AS 3356 class tn t 1 s 0 f 0 c 0"), std::string::npos) << asn.out;
 
   const auto dump = run_split(query_bin() + " dump" + connect);
   EXPECT_EQ(dump.exit_code, 0) << dump.err;

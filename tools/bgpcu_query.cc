@@ -25,8 +25,8 @@
 //
 // Network mode (HOST:PORT from --connect; --token T when the server
 // requires auth):
-//   bgpcu_query dump --connect HOST:PORT        live snapshot as a text db
-//   bgpcu_query asn ASN --connect HOST:PORT     one AS's swept class
+//   bgpcu_query dump --connect HOST:PORT        published snapshot as a text db
+//   bgpcu_query asn ASN --connect HOST:PORT     one AS's published class
 //   bgpcu_query live ASN --connect HOST:PORT    real-time peer-column
 //                                               evidence (no sweep)
 //   bgpcu_query stats --connect HOST:PORT       service health counters
@@ -90,8 +90,6 @@ const char* frame_type_name(api::FrameType type) {
   switch (type) {
     case api::FrameType::kSnapshot: return "snapshot";
     case api::FrameType::kDeltaBatch: return "delta-batch";
-    case api::FrameType::kQueryRequest: return "query-request";
-    case api::FrameType::kQueryResponse: return "query-response";
     case api::FrameType::kError: return "error";
     case api::FrameType::kSubscribe: return "subscribe";
     case api::FrameType::kSubscribed: return "subscribed";

@@ -1,11 +1,12 @@
 // bgpcu_serve — network serving daemon over the api::Service facade.
 //
 // Binds a TCP listener and speaks the frame protocol (docs/PROTOCOL.md):
-// request/response queries (per-ASN class, bulk snapshot, live evidence,
-// stats) and streaming class-change subscriptions, the operational mode
-// anomaly-detection consumers of community data need. Optionally tails a
-// directory of MRT dumps exactly like bgpcu_stream, so one process ingests
-// the feed and serves the inferences.
+// request/response queries (per-ASN class and bulk snapshot at the
+// published epoch, live evidence, stats) and streaming class-change
+// subscriptions, the operational mode anomaly-detection consumers of
+// community data need. Optionally tails a directory of MRT dumps exactly
+// like bgpcu_stream, so one process ingests the feed and serves the
+// inferences.
 //
 // Usage:
 //   bgpcu_serve [options] [WATCH_DIR]
@@ -21,7 +22,7 @@
 //   --io-threads N     event-loop threads multiplexing connections (default
 //                      1; connections are assigned round-robin)
 //   --workers N        worker threads dispatching decoded frames off the IO
-//                      loops (default 1; 0 dispatches inline on the loop)
+//                      loops (default 1)
 //
 // Overload-protection options (docs/RELIABILITY.md):
 //   --keepalive MS     probe idle connections with kPing every MS
@@ -265,6 +266,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       server_config.worker_threads =
           static_cast<std::size_t>(parse_u64_or_exit(arg, next()));
+      if (server_config.worker_threads == 0) {
+        std::cerr << "--workers must be >= 1\n";
+        return 2;
+      }
     } else if (arg == "--keepalive") {
       server_config.keepalive_interval_ms =
           static_cast<std::uint32_t>(parse_u64_or_exit(arg, next()));

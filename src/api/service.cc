@@ -225,7 +225,7 @@ std::vector<stream::ClassChange> Service::apply_subscription(const Subscription&
 }
 
 EpochDelta Service::publish() {
-  // Deliveries to make once the facade mutex is released — callbacks may
+  // Deliveries to make once both mutexes are released — callbacks may
   // re-enter subscribe/unsubscribe. A plain subscription carries its decoded
   // delta; an encoded one carries the shared serialized payload.
   struct Delivery {
@@ -237,11 +237,14 @@ EpochDelta Service::publish() {
   std::vector<Delivery> dispatch;
   EpochDelta delta;
   {
-    const std::lock_guard lock(facade_mutex_);
+    // The sweep and the diff run under publish_mutex_ alone, so scrapes,
+    // welcomes and subscribes never wait out a sweep.
+    const std::lock_guard publishing(publish_mutex_);
     auto current = engine_.snapshot();
     delta.epoch = engine_.epoch();
-    // published_ changes only under facade_mutex_, so it is read bare here.
+    // published_ changes only under publish_mutex_, so it is read bare here.
     delta.changes = stream::diff_classifications(*published_.snapshot, *current);
+    const std::lock_guard lock(facade_mutex_);
     publish_locked(std::move(current), delta.epoch);
     if (!delta.changes.empty()) {
       log_.push(delta);
@@ -403,8 +406,8 @@ void Service::preload_events(std::vector<EpochDelta> deltas) {
 }
 
 void Service::rebaseline() {
-  // Under the facade mutex, as in publish(): the two must not interleave.
-  const std::lock_guard lock(facade_mutex_);
+  // Under publish_mutex_, as in publish(): the two must not interleave.
+  const std::lock_guard publishing(publish_mutex_);
   publish_locked(engine_.snapshot(), engine_.epoch());
 }
 

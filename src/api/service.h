@@ -203,17 +203,23 @@ class EventLog {
 ///     service.publish();            // diffs, logs, notifies subscribers
 ///   }
 ///
-/// Thread model: `ingest` follows the engine's concurrency rules. `query`
-/// never sweeps: kClassOf/kSnapshot/kHistory copy the published handle
-/// under a mutex that is never held across a sweep, and kLiveCounters is
-/// lock-light, so any number of threads may query while publish() sweeps
-/// (kStats and kMetrics read the subscription and event-log counts under
-/// the facade mutex, so those two wait out a publish's sweep).
-/// `publish`, `rebaseline`, `subscribe`, `unsubscribe`, and `replay`
-/// serialize on a facade mutex. publish() invokes callbacks *outside* that
-/// mutex, so a callback may safely subscribe/unsubscribe re-entrantly;
-/// replayed deliveries during subscribe() run under the mutex (see
-/// subscribe()).
+/// Thread model: `ingest` follows the engine's concurrency rules. Of the
+/// service's three mutexes, only the publish mutex is held across a sweep:
+///   - `publish` and `rebaseline` serialize on the publish mutex, held
+///     across the sweep and the diff.
+///   - The facade mutex guards the subscriptions and the event log.
+///     `subscribe`, `unsubscribe`, `replay`, `replay_horizon` and
+///     `subscription_count` take it, and so does publish(), only to swap
+///     the published handle, push the log and build its dispatch list.
+///   - The query mutex guards what the published kinds read. kClassOf,
+///     kSnapshot and kHistory copy the published handle under it.
+/// So any number of threads may query, scrape, read the replay horizon and
+/// subscribe while publish() sweeps. A subscribe that lands mid-sweep is in
+/// that publish's dispatch list. Lock order: publish, then the engine's
+/// sweep mutex, then the engine lock; publish, then facade, then query.
+/// publish() invokes callbacks after releasing every mutex, so a callback
+/// may safely subscribe/unsubscribe re-entrantly; replayed deliveries
+/// during subscribe() run under the facade mutex (see subscribe()).
 class Service {
  public:
   explicit Service(ServiceConfig config = {});
@@ -354,15 +360,17 @@ class Service {
   };
 
   [[nodiscard]] Published published() const;
-  /// Swaps in a new published answer. Caller holds facade_mutex_.
+  /// Swaps in a new published answer. Caller holds publish_mutex_.
   void publish_locked(stream::SnapshotPtr snapshot, stream::Epoch epoch);
 
   ServiceConfig config_;
   stream::StreamEngine engine_;
-  /// Guards what queries read and is never held across a sweep: publish()
-  /// holds facade_mutex_ across its sweep, so queries must not wait on it.
+  /// Serializes publish() and rebaseline(); the only mutex held across a
+  /// sweep, so nothing but another publish waits on it.
+  std::mutex publish_mutex_;
+  /// Guards what queries read.
   mutable std::mutex query_mutex_;
-  Published published_;               ///< Written under both mutexes.
+  Published published_;  ///< Written under publish_mutex_ and query_mutex_.
   HistoryProvider history_provider_;  ///< Guarded by query_mutex_.
   mutable std::mutex facade_mutex_;  ///< Guards everything below.
   EventLog log_;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "core/database.h"
@@ -115,28 +116,14 @@ void check_frame_type(std::uint8_t type_byte) {
 }
 
 Frame parse_frame(Reader& r) {
-  const auto magic = r.bytes(kWireMagic.size(), "frame magic");
-  if (!std::equal(magic.begin(), magic.end(), kWireMagic.begin())) {
-    throw WireFormatError("not a bgpcu wire frame (bad magic)");
+  const auto frame =
+      try_parse_frame(r.data.subspan(r.pos), std::numeric_limits<std::size_t>::max());
+  if (!frame) {
+    throw WireFormatError("truncated frame: " + std::to_string(r.remaining()) +
+                          " bytes do not hold a whole frame");
   }
-  const auto version = r.u8("frame version");
-  if (version == 0 || version > kWireVersion) {
-    throw WireFormatError("unsupported wire version " + std::to_string(version) +
-                          " (this build reads <= " + std::to_string(kWireVersion) + ")");
-  }
-  const auto type_byte = r.u8("frame type");
-  check_frame_type(type_byte);
-  const auto start = r.pos;
-  const auto length = r.varint("frame payload length");
-  if (length > r.remaining()) {
-    throw WireFormatError("truncated frame: payload claims " + std::to_string(length) +
-                          " bytes, " + std::to_string(r.remaining()) + " available");
-  }
-  Frame frame;
-  frame.type = static_cast<FrameType>(type_byte);
-  frame.payload = r.bytes(length, "frame payload");
-  frame.size = kWireMagic.size() + 2 + (r.pos - start);
-  return frame;
+  r.pos += frame->size;
+  return *frame;
 }
 
 /// Decodes the single frame that must span `data` exactly, checking its type.

@@ -9,8 +9,7 @@ ProtocolError::ProtocolError(api::ErrorFrame error)
                          ": " + error.message),
       error_(std::move(error)) {}
 
-Client::Client(std::unique_ptr<Connection> conn, Options options)
-    : conn_(std::move(conn)), frames_(options.max_frame_payload) {
+Client::Client(std::unique_ptr<Connection> conn, Options options) : conn_(std::move(conn)) {
   try {
     send(api::encode_hello({api::kProtocolVersion, options.token}));
   } catch (const TransportError&) {
@@ -22,6 +21,10 @@ Client::Client(std::unique_ptr<Connection> conn, Options options)
     throw TransportError("connection closed during handshake");
   }
   welcome_ = api::decode_welcome(frame);
+}
+
+void Client::set_read_timeout(std::chrono::milliseconds timeout) {
+  conn_->set_read_timeout(timeout);
 }
 
 std::vector<std::uint8_t> Client::read_frame() {
@@ -41,22 +44,27 @@ std::vector<std::uint8_t> Client::await(api::FrameType want) {
     if (frame.empty()) return frame;
     const auto type = api::peek_frame_type(frame);
     if (type == want) return frame;
-    switch (type) {
-      case api::FrameType::kEvent:
-        pending_events_.push_back(api::decode_event(frame));
-        break;
-      case api::FrameType::kPing:
-        send(api::encode_ping(api::decode_ping(frame), api::FrameType::kPong));
-        break;
-      case api::FrameType::kBusy:
-        throw BusyError(api::decode_busy(frame));
-      case api::FrameType::kError:
-        throw ProtocolError(api::decode_error(frame));
-      default:
-        throw TransportError("unexpected frame type " +
-                             std::to_string(static_cast<int>(type)) + " awaiting type " +
-                             std::to_string(static_cast<int>(want)));
-    }
+    handle_unsolicited(frame, type);
+  }
+}
+
+void Client::handle_unsolicited(const std::vector<std::uint8_t>& frame, api::FrameType type) {
+  switch (type) {
+    case api::FrameType::kEvent:
+      pending_events_.push_back(api::decode_event(frame));
+      break;
+    case api::FrameType::kPing:
+      send(api::encode_ping(api::decode_ping(frame), api::FrameType::kPong));
+      break;
+    case api::FrameType::kPong:
+      (void)api::decode_ping(frame, api::FrameType::kPong);
+      break;
+    case api::FrameType::kBusy:
+      throw BusyError(api::decode_busy(frame));
+    case api::FrameType::kError:
+      throw ProtocolError(api::decode_error(frame));
+    default:
+      throw TransportError("unexpected frame type " + std::to_string(static_cast<int>(type)));
   }
 }
 
@@ -82,13 +90,15 @@ api::QueryResponse Client::query(const api::QueryRequest& request) {
 }
 
 std::uint64_t Client::subscribe(const api::SubscriptionFilter& filter,
-                                std::optional<stream::Epoch> replay_from) {
+                                std::optional<stream::Epoch> replay_from,
+                                bool* replay_complete) {
   const auto id = next_request_id_++;
   send(api::encode_subscribe({id, filter, replay_from}));
   const auto frame = await(api::FrameType::kSubscribed);
   if (frame.empty()) throw TransportError("connection closed awaiting subscribe ack");
   const auto ack = api::decode_subscribed(frame);
   if (ack.request_id != id) throw TransportError("subscribe ack for wrong request id");
+  if (replay_complete != nullptr) *replay_complete = ack.replay_complete;
   return ack.subscription_id;
 }
 
@@ -102,15 +112,27 @@ void Client::unsubscribe(std::uint64_t subscription_id) {
   }
 }
 
+void Client::ping(std::uint64_t nonce) { send(api::encode_ping({nonce})); }
+
+bool Client::pump() {
+  const auto frame = read_frame();
+  if (frame.empty()) return false;
+  handle_unsolicited(frame, api::peek_frame_type(frame));
+  return true;
+}
+
+std::optional<api::EventFrame> Client::buffered_event() {
+  if (pending_events_.empty()) return std::nullopt;
+  auto event = std::move(pending_events_.front());
+  pending_events_.pop_front();
+  return event;
+}
+
 std::optional<api::EventFrame> Client::next_event() {
-  if (!pending_events_.empty()) {
-    auto event = std::move(pending_events_.front());
-    pending_events_.pop_front();
-    return event;
+  for (;;) {
+    if (auto event = buffered_event()) return event;
+    if (!pump()) return std::nullopt;
   }
-  const auto frame = await(api::FrameType::kEvent);
-  if (frame.empty()) return std::nullopt;
-  return api::decode_event(frame);
 }
 
 void Client::finish_requests() { conn_->shutdown_write(); }

@@ -10,7 +10,6 @@
 
 namespace bgpcu::net {
 
-
 namespace {
 
 constexpr core::UsageClass kNoClass{};  // kNone/kNone: "absent from the view".
@@ -32,13 +31,12 @@ std::uint64_t decorrelated_backoff(std::uint64_t prev_ms, const BackoffPolicy& p
 ResilientClient::ResilientClient(Connector connector, ResilientConfig config)
     : connector_(std::move(connector)),
       config_(std::move(config)),
-      frames_(config_.max_frame_payload),
       rng_(config_.backoff.seed) {}
 
 void ResilientClient::ensure_session() {
   if (closed_) throw TransportError("resilient client is closed");
   std::uint64_t rounds = 0;
-  while (!conn_ || (subscribed_ && !sub_active_)) {
+  while (!session_ || (subscribed_ && !sub_active_)) {
     // Guards the pathological cycle where the handshake succeeds but the
     // subscription setup keeps failing: each loop round is at least one
     // full connect, so the attempt budget still bounds it.
@@ -47,17 +45,13 @@ void ResilientClient::ensure_session() {
                              std::to_string(rounds) + " rounds");
     }
     ++rounds;
-    const bool reconnect = ever_connected_ && !conn_;
+    const bool reconnect = ever_connected_ && !session_;
     std::uint64_t attempts = 0;
-    if (!conn_) {
+    if (!session_) {
       attempts = connect_with_backoff();
       ever_connected_ = true;
-      ++stats_.connects;
       obs::metrics().net_client_connects.add();
-      if (reconnect) {
-        ++stats_.reconnects;
-        obs::metrics().net_client_reconnects.add();
-      }
+      if (reconnect) obs::metrics().net_client_reconnects.add();
     }
     if (subscribed_ && !sub_active_) {
       const auto pos = out_events_.size();
@@ -65,7 +59,6 @@ void ResilientClient::ensure_session() {
         establish_subscription();
         sub_active_ = true;
       } catch (const BusyError& e) {
-        ++stats_.busy_deferrals;
         obs::metrics().net_client_busy_deferrals.add();
         drop_connection();
         sleep_backoff(e.retry_after_ms());
@@ -93,29 +86,23 @@ void ResilientClient::ensure_session() {
 std::uint64_t ResilientClient::connect_with_backoff() {
   std::uint64_t attempts = 0;
   for (;;) {
+    // A ProtocolError (auth failure, version mismatch) is permanent and
+    // propagates; everything else is retried after a backoff.
     std::optional<std::uint64_t> hint;
     try {
       ++attempts;
-      ++stats_.connect_attempts;
       auto conn = connector_();
       if (!conn) throw TransportError("connector returned no connection");
-      conn_ = std::move(conn);
-      frames_ = FrameBuffer(config_.max_frame_payload);
-      handshake();
+      conn->set_read_timeout(ms(config_.handshake_timeout_ms));
+      session_.emplace(std::move(conn), Client::Options{config_.token});
+      welcome_ = session_->welcome();
       prev_backoff_ms_ = 0;
       return attempts;
-    } catch (const ProtocolError&) {
-      drop_connection();
-      throw;  // Auth failure or version mismatch: permanent.
     } catch (const BusyError& e) {
-      drop_connection();
       hint = e.retry_after_ms();
-      ++stats_.busy_deferrals;
       obs::metrics().net_client_busy_deferrals.add();
     } catch (const api::WireFormatError&) {
-      drop_connection();
     } catch (const TransportError&) {
-      drop_connection();
     }
     if (config_.max_connect_attempts != 0 && attempts >= config_.max_connect_attempts) {
       throw RetriesExhausted("connect retries exhausted after " +
@@ -125,65 +112,16 @@ std::uint64_t ResilientClient::connect_with_backoff() {
   }
 }
 
-void ResilientClient::handshake() {
-  // Mirror net::Client: the server may reject-and-hang-up before our hello
-  // lands, and its answer is still readable after the failed write.
-  try {
-    send(api::encode_hello({api::kProtocolVersion, config_.token}));
-  } catch (const TransportError&) {
-  }
-  std::vector<api::EventFrame> none;  // nothing is subscribed before the welcome
-  welcome_ = api::decode_welcome(
-      await(api::FrameType::kWelcome, config_.handshake_timeout_ms, none));
-}
-
-std::vector<std::uint8_t> ResilientClient::await(api::FrameType want, std::uint64_t timeout_ms,
-                                                 std::vector<api::EventFrame>& held) {
-  for (;;) {
-    auto frame = read_frame(ms(timeout_ms));
-    if (frame.empty()) {
-      throw TransportError("connection closed awaiting frame type " +
-                           std::to_string(static_cast<int>(want)));
-    }
-    const auto type = api::peek_frame_type(frame);
-    if (type == want) return frame;
-    switch (type) {
-      case api::FrameType::kEvent:
-        held.push_back(api::decode_event(frame));
-        break;
-      case api::FrameType::kPing:
-        send(api::encode_ping(api::decode_ping(frame), api::FrameType::kPong));
-        break;
-      case api::FrameType::kPong:
-        break;
-      case api::FrameType::kBusy:
-        throw BusyError(api::decode_busy(frame));
-      case api::FrameType::kError:
-        throw ProtocolError(api::decode_error(frame));
-      default:
-        throw TransportError("unexpected frame type " +
-                             std::to_string(static_cast<int>(type)) + " awaiting type " +
-                             std::to_string(static_cast<int>(want)));
-    }
-  }
-}
-
 void ResilientClient::establish_subscription() {
   const std::optional<stream::Epoch> replay =
       last_seen_ ? std::optional<stream::Epoch>(*last_seen_ + 1) : initial_replay_from_;
-  const auto id = next_request_id_++;
-  send(api::encode_subscribe({id, filter_, replay}));
-  std::vector<api::EventFrame> held;
-  const auto ack = api::decode_subscribed(
-      await(api::FrameType::kSubscribed, config_.handshake_timeout_ms, held));
-  if (ack.request_id != id) throw TransportError("subscribe ack for wrong request id");
-  subscription_id_ = ack.subscription_id;
-  if (replay && !ack.replay_complete) {
-    ++stats_.gap_resyncs;
+  session_->set_read_timeout(ms(config_.handshake_timeout_ms));
+  bool replay_complete = true;
+  subscription_id_ = session_->subscribe(filter_, replay, &replay_complete);
+  if (replay && !replay_complete) {
     obs::metrics().net_client_gap_resyncs.add();
-    api::QueryRequest req;
-    req.kind = api::QueryKind::kSnapshot;
-    const auto resp = query_on_conn(req, held);
+    session_->set_read_timeout(ms(config_.request_deadline_ms));
+    const auto resp = session_->query({.kind = api::QueryKind::kSnapshot});
     if (!resp.snapshot) throw TransportError("snapshot re-sync returned no snapshot");
     const stream::Epoch gap_from = *replay;
     // The snapshot is the published one, so the gap closes at its epoch: the
@@ -204,7 +142,7 @@ void ResilientClient::establish_subscription() {
   } else {
     min_epoch_ = replay;  // Anything older is an overlap duplicate.
   }
-  for (const auto& event : held) deliver_event(event);
+  deliver_buffered();
 }
 
 api::QueryResponse ResilientClient::query(const api::QueryRequest& request) {
@@ -218,14 +156,13 @@ api::QueryResponse ResilientClient::query(const api::QueryRequest& request) {
     if (closed_) throw TransportError("resilient client is closed");
     try {
       ensure_session();
-      std::vector<api::EventFrame> held;
-      auto response = query_on_conn(request, held);
-      for (const auto& event : held) deliver_event(event);
+      session_->set_read_timeout(ms(config_.request_deadline_ms));
+      auto response = session_->query(request);
+      deliver_buffered();
       return response;
     } catch (const RetriesExhausted&) {
       throw;
     } catch (const BusyError& e) {
-      ++stats_.busy_deferrals;
       obs::metrics().net_client_busy_deferrals.add();
       // request_id 0 is connection-level: the server closes after sending it.
       if (e.busy().request_id == 0) drop_connection();
@@ -239,16 +176,6 @@ api::QueryResponse ResilientClient::query(const api::QueryRequest& request) {
       if (expired()) throw;
     }
   }
-}
-
-api::QueryResponse ResilientClient::query_on_conn(const api::QueryRequest& request,
-                                                  std::vector<api::EventFrame>& held) {
-  const auto id = next_request_id_++;
-  send(api::encode_request({id, request}));
-  auto response =
-      api::decode_response(await(api::FrameType::kResponse, config_.request_deadline_ms, held));
-  if (response.request_id != id) throw TransportError("response id does not match request");
-  return std::move(response.response);
 }
 
 void ResilientClient::subscribe(api::SubscriptionFilter filter,
@@ -272,60 +199,31 @@ std::optional<ResilientClient::Event> ResilientClient::next_event() {
     if (closed_ || !subscribed_) return std::nullopt;
     ensure_session();
     // A reconnect inside ensure_session may have queued events (kReconnected,
-    // kGap, replayed deltas). Surface those before blocking on the wire, or a
-    // quiet stream would sit on them until the next keepalive or live delta.
+    // kGap, replayed deltas), and a shed query may have left events on the
+    // session. Surface those before blocking on the wire, or a quiet stream
+    // would sit on them until the next keepalive or live delta.
+    deliver_buffered();
     if (!out_events_.empty()) continue;
-    const bool keepalive = config_.keepalive_interval_ms != 0;
-    std::vector<std::uint8_t> frame;
+    const auto interval = config_.keepalive_interval_ms;
+    session_->set_read_timeout(ms(interval));
+    bool alive = false;
     try {
-      frame = read_frame(ms(keepalive ? config_.keepalive_interval_ms : 0));
+      // Without keepalive the read blocks forever, so false means EOF; with
+      // it, false may just be an idle interval — probe before giving up.
+      alive = session_->pump() || (interval != 0 && probe_alive());
     } catch (const api::WireFormatError&) {
-      drop_connection();
-      continue;
-    }
-    if (frame.empty()) {
-      // Without keepalive the read blocks forever, so empty means EOF; with
-      // it, empty may just be an idle interval — probe before giving up.
-      if (!keepalive || !probe_alive()) drop_connection();
-      continue;
-    }
-    try {
-      dispatch_stream_frame(frame);
-    } catch (const api::WireFormatError&) {
-      drop_connection();
+      // A malformed frame, kBusy, kError or a frame of the wrong type ends
+      // the connection like EOF does; the gap-free resume recovers.
+    } catch (const BusyError&) {
+    } catch (const ProtocolError&) {
     } catch (const TransportError&) {
-      drop_connection();
     }
+    if (!alive) drop_connection();
   }
 }
 
-void ResilientClient::dispatch_stream_frame(const std::vector<std::uint8_t>& frame) {
-  switch (api::peek_frame_type(frame)) {
-    case api::FrameType::kEvent:
-      deliver_event(api::decode_event(frame));
-      break;
-    case api::FrameType::kPing:
-      send(api::encode_ping(api::decode_ping(frame), api::FrameType::kPong));
-      break;
-    case api::FrameType::kPong:
-      (void)api::decode_ping(frame, api::FrameType::kPong);
-      break;
-    case api::FrameType::kBusy: {
-      // Connection-level shed: the server closes next; reconnect via the
-      // handshake path (which honors the retry-after hint it will resend).
-      const auto busy = api::decode_busy(frame);
-      if (busy.request_id == 0) drop_connection();
-      break;
-    }
-    case api::FrameType::kError: {
-      const auto err = api::decode_error(frame);
-      if (err.request_id == 0) drop_connection();
-      break;  // Request-level errors on the stream are stale; ignore.
-    }
-    default:
-      drop_connection();
-      break;
-  }
+void ResilientClient::deliver_buffered() {
+  while (auto event = session_->buffered_event()) deliver_event(*event);
 }
 
 void ResilientClient::deliver_event(const api::EventFrame& event) {
@@ -374,26 +272,15 @@ api::EpochDelta ResilientClient::synthesize_gap_delta(const core::InferenceResul
 }
 
 bool ResilientClient::probe_alive() {
-  try {
-    api::PingFrame ping;
-    ping.nonce = ++ping_nonce_;
-    send(api::encode_ping(ping));
-    ++stats_.pings_sent;
-    obs::metrics().net_client_pings.add();
-    const auto frame = read_frame(ms(config_.keepalive_timeout_ms));
-    if (frame.empty()) return false;
-    dispatch_stream_frame(frame);  // Any frame proves liveness, not just kPong.
-    return conn_ != nullptr;
-  } catch (const api::WireFormatError&) {
-    return false;
-  } catch (const TransportError&) {
-    return false;
-  }
+  session_->ping(++ping_nonce_);
+  obs::metrics().net_client_pings.add();
+  session_->set_read_timeout(ms(config_.keepalive_timeout_ms));
+  return session_->pump();  // Any frame proves the peer alive, not just a kPong.
 }
 
 void ResilientClient::drop_connection() {
-  if (conn_) conn_->close();
-  conn_.reset();
+  if (session_) session_->close();
+  session_.reset();
   sub_active_ = false;
 }
 
@@ -411,25 +298,6 @@ void ResilientClient::sleep_backoff(std::optional<std::uint64_t> floor_ms) {
     config_.sleep_fn(ms(delay));
   } else {
     std::this_thread::sleep_for(ms(delay));
-  }
-}
-
-std::vector<std::uint8_t> ResilientClient::read_frame(std::chrono::milliseconds timeout) {
-  if (!conn_) throw TransportError("not connected");
-  conn_->set_read_timeout(timeout);
-  if (chunk_.empty()) chunk_.resize(16384);
-  for (;;) {
-    auto frame = frames_.extract();
-    if (!frame.empty()) return frame;
-    const auto n = conn_->read_some(chunk_);
-    if (n == 0) return {};
-    frames_.append(std::span(chunk_.data(), n));
-  }
-}
-
-void ResilientClient::send(const std::vector<std::uint8_t>& frame) {
-  if (!conn_ || !conn_->write_all(frame)) {
-    throw TransportError("connection closed while sending");
   }
 }
 

@@ -1,7 +1,8 @@
 // net::ResilientClient — the reconnecting, resume-from-epoch consumer for
 // long-running subscribers (bgpcu_query watch, monitors tailing the class-
-// change feed). It wraps the frame protocol (net/client.h stays the simple
-// one-connection client) with:
+// change feed). It runs one net::Client session per connection it makes
+// (net/client.h is the only code for the client side of a connection) and
+// keeps only the policy:
 //
 //   - capped exponential backoff with decorrelated jitter between connect
 //     attempts, honoring the server's kBusy retry-after hint as a floor;
@@ -13,11 +14,17 @@
 //     from the published snapshot and emits a kGap event that closes at
 //     that snapshot's epoch and carries one synthesized catch-up delta,
 //     instead of silently dropping changes;
-//   - per-request deadlines on query(), retrying across reconnects and
-//     busy sheds until the deadline expires;
+//   - deadlines: on the handshake and subscribe ack, and per request on
+//     query(), which retries across reconnects and busy sheds until its
+//     deadline expires;
 //   - optional client-side keepalive: an idle subscription stream is
 //     probed with kPing so a dead link is detected instead of blocking
 //     next_event() forever. The server's own probes are answered always.
+//
+// Its connects, reconnects, gap re-syncs, busy deferrals and probes are
+// counted in the registry (bgpcu_net_client_*); per-client facts are in
+// the event stream (kReconnected carries its dial count, each re-sync is
+// one kGap).
 //
 // It speaks protocol v4 only: a server of another version refuses the
 // hello by name, which surfaces as a permanent ProtocolError.
@@ -42,7 +49,6 @@
 #include "api/wire.h"
 #include "core/classifier.h"
 #include "net/client.h"
-#include "net/framer.h"
 #include "net/transport.h"
 
 namespace bgpcu::net {
@@ -76,8 +82,9 @@ struct ResilientConfig {
   /// Consecutive failed connect attempts before giving up (RetriesExhausted).
   /// 0 = retry forever.
   std::uint64_t max_connect_attempts = 0;
-  /// Deadline for the welcome after a connect; a listener that accepts but
-  /// never speaks cannot hang the client. 0 disables.
+  /// Deadline for the welcome and the subscribe ack after a connect; a
+  /// listener that accepts but never speaks cannot hang the client.
+  /// 0 disables.
   std::uint64_t handshake_timeout_ms = 5000;
   /// Overall deadline for one query() call, spanning reconnects and busy
   /// deferrals. 0 disables (retry until a permanent error).
@@ -86,7 +93,6 @@ struct ResilientConfig {
   /// silence; an unanswered probe (keepalive_timeout_ms) reconnects.
   std::uint64_t keepalive_interval_ms = 0;
   std::uint64_t keepalive_timeout_ms = 3000;
-  std::size_t max_frame_payload = api::kMaxFramePayload;
   /// Backoff sleep hook; tests inject a recorder to run without wall-clock
   /// delays. Default: std::this_thread::sleep_for.
   std::function<void(std::chrono::milliseconds)> sleep_fn;
@@ -110,15 +116,6 @@ class ResilientClient {
     stream::Epoch gap_from = 0;
     stream::Epoch gap_to = 0;
     std::uint64_t attempts = 0;
-  };
-
-  struct Stats {
-    std::uint64_t connect_attempts = 0;
-    std::uint64_t connects = 0;  ///< Successful handshakes.
-    std::uint64_t reconnects = 0;
-    std::uint64_t gap_resyncs = 0;
-    std::uint64_t busy_deferrals = 0;
-    std::uint64_t pings_sent = 0;
   };
 
   ResilientClient(Connector connector, ResilientConfig config);
@@ -157,59 +154,42 @@ class ResilientClient {
     return state_;
   }
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
   /// Drops the connection and stops reconnecting; next_event() returns
   /// nullopt from now on.
   void close();
 
  private:
   void ensure_session();
-  /// Dials + handshakes until success; returns attempts used. Resets
-  /// frames_/conn_ state. Throws ProtocolError (permanent) or
-  /// RetriesExhausted.
+  /// Dials and handshakes until a session is up; returns the attempts
+  /// used. Throws ProtocolError (permanent) or RetriesExhausted.
   std::uint64_t connect_with_backoff();
-  void handshake();
-  /// (Re-)issues the subscribe on the current connection, resuming from
+  /// (Re-)issues the subscribe on the current session, resuming from
   /// last_seen_ + 1 and running the snapshot re-sync when the ack reports
   /// the replay horizon passed it.
   void establish_subscription();
-  [[nodiscard]] api::QueryResponse query_on_conn(const api::QueryRequest& request,
-                                                 std::vector<api::EventFrame>& held);
-  /// Reads until a frame of type `want` arrives, each read deadlined by
-  /// `timeout_ms` (0 = none): events go to `held`, pings are answered, and
-  /// kBusy, kError, any other type or EOF throws.
-  [[nodiscard]] std::vector<std::uint8_t> await(api::FrameType want, std::uint64_t timeout_ms,
-                                                std::vector<api::EventFrame>& held);
-  /// Applies one inbound stream frame (event/ping/pong/busy/error).
-  void dispatch_stream_frame(const std::vector<std::uint8_t>& frame);
+  /// Delivers the events the session buffered while it awaited a reply.
+  void deliver_buffered();
   void deliver_event(const api::EventFrame& event);
   void apply_changes(const std::vector<stream::ClassChange>& changes);
   [[nodiscard]] api::EpochDelta synthesize_gap_delta(const core::InferenceResult& snap,
                                                      stream::Epoch epoch) const;
-  /// True when the link is still up and a frame was handled; false = probe
-  /// failed, reconnect.
+  /// Pings the session and reads one frame within keepalive_timeout_ms:
+  /// true when one arrived and was handled.
   bool probe_alive();
   void drop_connection();
   void sleep_backoff(std::optional<std::uint64_t> floor_ms);
-  /// Next complete frame; empty on EOF *or* an expired `timeout` (0 = block
-  /// forever) — the caller disambiguates by probing.
-  [[nodiscard]] std::vector<std::uint8_t> read_frame(std::chrono::milliseconds timeout);
-  void send(const std::vector<std::uint8_t>& frame);
 
   Connector connector_;
   ResilientConfig config_;
-  std::unique_ptr<Connection> conn_;
-  FrameBuffer frames_;
-  std::vector<std::uint8_t> chunk_;
-  api::WelcomeFrame welcome_;
+  std::optional<Client> session_;
+  api::WelcomeFrame welcome_;  ///< The last session's, kept past its drop.
   std::mt19937_64 rng_;
   std::uint64_t prev_backoff_ms_ = 0;
   bool closed_ = false;
   bool ever_connected_ = false;
 
   bool subscribed_ = false;
-  bool sub_active_ = false;  ///< Subscription live on the *current* connection.
+  bool sub_active_ = false;  ///< Subscription live on the *current* session.
   api::SubscriptionFilter filter_;
   std::optional<stream::Epoch> initial_replay_from_;
   std::uint64_t subscription_id_ = 0;
@@ -220,9 +200,7 @@ class ResilientClient {
   std::map<bgp::Asn, core::UsageClass> state_;
   std::deque<Event> out_events_;
 
-  std::uint64_t next_request_id_ = 1;
   std::uint64_t ping_nonce_ = 0;
-  Stats stats_;
 };
 
 }  // namespace bgpcu::net

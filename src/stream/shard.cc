@@ -45,7 +45,6 @@ void TupleShard::journal_push(core::IndexDelta&& delta) {
       cancelled_[pending->second] = true;
       pending_adds_.erase(pending);
       ++cancelled_in_journal_;
-      ++journal_dedups_;
       obs::metrics().stream_journal_dedups.add(1, lane_);
       return;
     }
@@ -274,11 +273,6 @@ std::size_t TupleShard::size() const {
 std::uint64_t TupleShard::version() const {
   const std::lock_guard lock(mutex_);
   return version_;
-}
-
-std::uint64_t TupleShard::journal_dedups() const {
-  const std::lock_guard lock(mutex_);
-  return journal_dedups_;
 }
 
 }  // namespace bgpcu::stream

@@ -111,9 +111,6 @@ class TupleShard {
   /// rebuild its index from collect_rows() of every shard. Thread-safe.
   [[nodiscard]] bool drain_deltas(std::vector<core::IndexDelta>& out);
 
-  /// Lifetime count of add+remove pairs cancelled before a drain. Thread-safe.
-  [[nodiscard]] std::uint64_t journal_dedups() const;
-
   /// Appends one index row per live tuple (the shard's authoritative state),
   /// keyed identically to the journal's entries, oldest first. The rows
   /// borrow the shard's stored paths: the caller must hold off mutations
@@ -187,7 +184,6 @@ class TupleShard {
   /// Undrained add entries by key, so a remove can cancel its add in place.
   std::unordered_map<std::uint64_t, std::size_t> pending_adds_;
   std::size_t cancelled_in_journal_ = 0;
-  std::uint64_t journal_dedups_ = 0;
 };
 
 }  // namespace bgpcu::stream

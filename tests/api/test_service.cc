@@ -187,10 +187,10 @@ TEST(ServiceQuery, AnswersMoveOnlyWithPublish) {
 }
 
 TEST(ServiceQuery, QueriesDoNotWaitForAPublishInFlight) {
-  // publish() holds the facade mutex across its sweep. Park that sweep in
-  // the after-collect hook: the published kinds must still answer, from the
-  // previous publish, and so must the real-time evidence. A query that
-  // waited for the sweep would hang here.
+  // Park a publish's sweep in the after-collect hook: the published kinds
+  // must still answer, from the previous publish, and so must the real-time
+  // evidence, the scrapes, the replay horizon every welcome reads, and a
+  // subscribe. Anything that waited for the sweep would hang here.
   Service service({.stream = {.window_epochs = 1}});
   service.set_history_provider([](bgp::Asn) { return std::vector<HistoryPoint>{}; });
   (void)service.ingest({tuple(10, 20, true)});
@@ -220,6 +220,15 @@ TEST(ServiceQuery, QueriesDoNotWaitForAPublishInFlight) {
             "tn");
   EXPECT_EQ(service.query({.kind = QueryKind::kLiveCounters, .asn = 10}).asn_class->counters.s,
             1u);
+  EXPECT_EQ(service.query({.kind = QueryKind::kStats}).stats->subscriptions, 0u);
+  EXPECT_TRUE(service.query({.kind = QueryKind::kMetrics}).metrics.has_value());
+  EXPECT_EQ(service.replay_horizon(), std::optional<stream::Epoch>(0));
+  // The parked publisher delivers only after the release; the join orders
+  // its write before the second read.
+  std::vector<EpochDelta> seen;
+  (void)service.subscribe({}, [&](const EpochDelta& delta) { seen.push_back(delta); },
+                          /*replay_from=*/0);
+  const auto replayed_mid_sweep = seen.size();
   {
     const std::lock_guard lock(m);
     release = true;
@@ -227,6 +236,10 @@ TEST(ServiceQuery, QueriesDoNotWaitForAPublishInFlight) {
   cv.notify_all();
   publisher.join();
   service.set_after_collect_hook({});
+  EXPECT_EQ(replayed_mid_sweep, 1u) << "the retained batch replays mid-sweep";
+  ASSERT_EQ(seen.size(), 2u) << "the parked publish delivers to the mid-sweep subscriber";
+  EXPECT_EQ(seen[0].epoch, 0u);
+  EXPECT_EQ(seen[1].epoch, 1u);
 
   const auto after = service.query({.kind = QueryKind::kClassOf, .asn = 10});
   EXPECT_EQ(after.epoch, 1u);

@@ -2,6 +2,7 @@
 // peer-column counter maintenance, index rows and the delta journal.
 #include <gtest/gtest.h>
 
+#include "obs/wellknown.h"
 #include "stream/shard.h"
 
 namespace bgpcu::stream {
@@ -169,6 +170,7 @@ TEST(TupleShardJournal, AddThenEvictBetweenDrainsCancels) {
   // A tuple accepted and evicted within one drain window would only make the
   // index insert and immediately tombstone a row; the journal cancels the
   // pair instead of emitting it.
+  const auto dedups = obs::metrics().stream_journal_dedups.value();
   TupleShard shard;
   (void)shard.ingest(tuple({1, 2}), 0);
   (void)shard.ingest(tuple({3, 4}), 1);
@@ -178,12 +180,13 @@ TEST(TupleShardJournal, AddThenEvictBetweenDrainsCancels) {
   ASSERT_TRUE(shard.drain_deltas(deltas));
   ASSERT_EQ(deltas.size(), 1u);  // only the surviving {3,4} add
   EXPECT_EQ(deltas[0].kind, core::IndexDelta::Kind::kAdd);
-  EXPECT_EQ(shard.journal_dedups(), 1u);
+  EXPECT_EQ(obs::metrics().stream_journal_dedups.value() - dedups, 1u);
 }
 
 TEST(TupleShardJournal, RemoveOfDrainedAddIsEmitted) {
   // Once the add has been drained the index holds the row, so a later evict
   // must emit its remove — cancellation only applies within a drain window.
+  const auto dedups = obs::metrics().stream_journal_dedups.value();
   TupleShard shard;
   (void)shard.ingest(tuple({1, 2}), 0);
   std::vector<core::IndexDelta> deltas;
@@ -197,7 +200,7 @@ TEST(TupleShardJournal, RemoveOfDrainedAddIsEmitted) {
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0].kind, core::IndexDelta::Kind::kRemove);
   EXPECT_EQ(deltas[0].key, key);
-  EXPECT_EQ(shard.journal_dedups(), 0u);
+  EXPECT_EQ(obs::metrics().stream_journal_dedups.value() - dedups, 0u);
 }
 
 TEST(TupleShardJournal, CancellationPreservesSurvivorOrder) {
@@ -219,6 +222,7 @@ TEST(TupleShardJournal, CancellationPreservesSurvivorOrder) {
 TEST(TupleShardJournal, ReingestAfterCancelledPairUsesFreshKey) {
   // Keys are never reused: re-accepting the same tuple after a cancelled
   // add+remove pair journals a brand-new add with a later key.
+  const auto dedups = obs::metrics().stream_journal_dedups.value();
   TupleShard shard;
   (void)shard.ingest(tuple({1, 2}), 0);
   EXPECT_EQ(shard.evict_older_than(1), 1u);
@@ -228,13 +232,14 @@ TEST(TupleShardJournal, ReingestAfterCancelledPairUsesFreshKey) {
   ASSERT_TRUE(shard.drain_deltas(deltas));
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0].kind, core::IndexDelta::Kind::kAdd);
-  EXPECT_EQ(shard.journal_dedups(), 1u);
+  EXPECT_EQ(obs::metrics().stream_journal_dedups.value() - dedups, 1u);
 }
 
 TEST(TupleShardJournal, OverflowClearsDedupeState) {
   // Overflow drops the buffered journal (and everything journaled until the
   // next drain); the drain reports it and the shard starts a clean window
   // with no stale cancellations or pending adds.
+  const auto dedups = obs::metrics().stream_journal_dedups.value();
   TupleShard shard(0, 1, /*journal_cap=*/2);
   (void)shard.ingest(tuple({1, 2}), 0);
   (void)shard.ingest(tuple({3, 4}), 0);
@@ -250,7 +255,7 @@ TEST(TupleShardJournal, OverflowClearsDedupeState) {
   EXPECT_EQ(shard.evict_older_than(2), 1u);
   ASSERT_TRUE(shard.drain_deltas(deltas));
   EXPECT_TRUE(deltas.empty());  // the add+remove pair cancelled
-  EXPECT_EQ(shard.journal_dedups(), 1u);
+  EXPECT_EQ(obs::metrics().stream_journal_dedups.value() - dedups, 1u);
 }
 
 }  // namespace
